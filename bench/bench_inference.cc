@@ -1,12 +1,12 @@
-// Inference-engine speedup bench: the sparsity-aware Naru progressive
-// sampler (one-hot weight gathers + active-path compaction + per-block
-// output columns) against the dense reference path, and batched MSCN
-// estimation against the per-query loop — both measured in the same run
-// on the same trained weights, at 1 thread so the numbers isolate the
-// algorithmic win from pool parallelism. Emits BENCH_inference.json and
-// CONFCARD_CHECKs that every compared pair of results is bit-identical
-// (the engine's contract); speedups are reported, not asserted, because
-// they depend on the host.
+// Inference-engine bench: for MSCN, LW-NN and Naru, the latency of a
+// batch of one (the per-query entry point, EstimateCardinality) against
+// one batch of the whole test workload, plus scalar-vs-SIMD kernels on
+// the batched paths and on MSCN training — each pair measured in the
+// same run on the same trained weights, at 1 thread so the numbers
+// isolate the algorithmic effect from pool parallelism. Emits
+// BENCH_inference.json and CONFCARD_CHECKs that every compared pair of
+// results is bit-identical (the engine's contract); speedups are
+// reported, not asserted, because they depend on the host.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -55,63 +55,33 @@ void TimeInterleaved(const BaseFn& base, const OptFn& opt, Comparison* cmp) {
   }
 }
 
-// BM_NaruProgressiveSample: dense per-query sampling vs the sparse
-// cross-query batched engine. Both paths reseed their sampler per call,
-// so repetitions reproduce the same bits.
-Comparison BenchNaruProgressiveSample(const NaruEstimator& naru,
-                                      const std::vector<Query>& queries) {
+// n batches of one (what a per-query caller pays) vs one batch of n.
+// Every estimator reseeds or recomputes per call, so repetitions
+// reproduce the same bits.
+Comparison BenchBatchOfOne(const char* label,
+                           const CardinalityEstimator& model,
+                           const std::vector<Query>& queries) {
   Comparison cmp;
-  NaruEstimator& mut = const_cast<NaruEstimator&>(naru);
-
-  std::vector<double> dense(queries.size());
-  std::vector<double> sparse(queries.size());
-  TimeInterleaved(
-      [&] {
-        mut.set_sparse_inference(false);
-        for (size_t i = 0; i < queries.size(); ++i) {
-          dense[i] = naru.EstimateCardinality(queries[i]);
-        }
-      },
-      [&] {
-        mut.set_sparse_inference(true);
-        naru.EstimateBatch(queries.data(), queries.size(), sparse.data());
-      },
-      &cmp);
-  std::printf("naru    dense per-query   %8.1f ms (%zu queries)\n",
-              cmp.baseline_millis, queries.size());
-  std::printf("naru    sparse batched    %8.1f ms  (%.2fx)\n",
-              cmp.optimized_millis, cmp.speedup());
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (sparse[i] != dense[i]) cmp.identical = false;
-  }
-  return cmp;
-}
-
-// BM_MscnEstimateBatch: per-query GEMV loop vs one packed batch forward.
-Comparison BenchMscnEstimateBatch(const MscnEstimator& mscn,
-                                  const std::vector<Query>& queries) {
-  Comparison cmp;
-
-  std::vector<double> loop(queries.size());
+  std::vector<double> single(queries.size());
   std::vector<double> batched(queries.size());
   TimeInterleaved(
       [&] {
         for (size_t i = 0; i < queries.size(); ++i) {
-          loop[i] = mscn.EstimateCardinality(queries[i]);
+          model.EstimateBatch(&queries[i], 1, &single[i]);
         }
       },
       [&] {
-        mscn.EstimateBatch(queries.data(), queries.size(), batched.data());
+        model.EstimateBatch(queries.data(), queries.size(), batched.data());
       },
       &cmp);
-  std::printf("mscn    per-query loop    %8.1f ms (%zu queries)\n",
-              cmp.baseline_millis, queries.size());
-  std::printf("mscn    batched           %8.1f ms  (%.2fx)\n",
-              cmp.optimized_millis, cmp.speedup());
+  const double to_us = 1e3 / static_cast<double>(queries.size());
+  std::printf("%-7s batches of one    %8.2f us/query (%zu queries)\n", label,
+              cmp.baseline_millis * to_us, queries.size());
+  std::printf("%-7s one batch of n    %8.2f us/query  (%.2fx)\n", label,
+              cmp.optimized_millis * to_us, cmp.speedup());
 
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (batched[i] != loop[i]) cmp.identical = false;
+    if (batched[i] != single[i]) cmp.identical = false;
   }
   return cmp;
 }
@@ -191,14 +161,20 @@ Comparison BenchMscnTrainSimd(const Table& table, const bench::Splits& splits,
   return cmp;
 }
 
+// `queries` > 0 adds both sides' latency in microseconds per query.
 void WriteComparison(obs::JsonWriter* w, const char* name,
                      const char* baseline, const char* optimized,
-                     const Comparison& cmp) {
+                     const Comparison& cmp, size_t queries = 0) {
   w->Key(name).BeginObject();
   w->Key("baseline").String(baseline);
   w->Key("optimized").String(optimized);
   w->Key("baseline_millis").Number(cmp.baseline_millis);
   w->Key("optimized_millis").Number(cmp.optimized_millis);
+  if (queries > 0) {
+    const double to_us = 1e3 / static_cast<double>(queries);
+    w->Key("baseline_us_per_query").Number(cmp.baseline_millis * to_us);
+    w->Key("optimized_us_per_query").Number(cmp.optimized_millis * to_us);
+  }
   w->Key("speedup").Number(cmp.speedup());
   w->Key("bit_identical").Bool(cmp.identical);
   w->EndObject();
@@ -210,24 +186,26 @@ int Main() {
   SetThreads(1);  // isolate the algorithmic speedup from the pool
 
   // DMV: 11 columns, so the MADE input/output space is many one-hot
-  // blocks wide — the workload shape whose dense forward wastes the
-  // most work.
+  // blocks wide — the workload shape the sparse sampler was built for.
   Table table = MakeDmv(bench::DefaultRows(), 3).value();
   bench::Splits splits = bench::MakeSplits(table);
   std::vector<Query> queries;
   queries.reserve(splits.test.size());
   for (const LabeledQuery& lq : splits.test) queries.push_back(lq.query);
 
-  NaruEstimator naru(bench::NaruDefaults());
-  CONFCARD_CHECK(naru.Train(table).ok());
-  Comparison naru_cmp = BenchNaruProgressiveSample(naru, queries);
-
   MscnEstimator mscn(bench::MscnDefaults());
   CONFCARD_CHECK(mscn.Train(table, splits.train).ok());
-  Comparison mscn_cmp = BenchMscnEstimateBatch(mscn, queries);
+  Comparison mscn_cmp = BenchBatchOfOne("mscn", mscn, queries);
+
+  LwnnEstimator lwnn(bench::LwnnDefaults());
+  CONFCARD_CHECK(lwnn.Train(table, splits.train).ok());
+  Comparison lwnn_cmp = BenchBatchOfOne("lw-nn", lwnn, queries);
+
+  NaruEstimator naru(bench::NaruDefaults());
+  CONFCARD_CHECK(naru.Train(table).ok());
+  Comparison naru_cmp = BenchBatchOfOne("naru", naru, queries);
 
   // SIMD off/on at 1 thread on the two kernel-bound engine paths.
-  naru.set_sparse_inference(true);
   Comparison naru_simd = BenchSimdToggle("naru", queries, [&](double* out) {
     naru.EstimateBatch(queries.data(), queries.size(), out);
   });
@@ -245,10 +223,12 @@ int Main() {
   w.Key("threads").Int(1);
   w.Key("queries").Int(static_cast<uint64_t>(queries.size()));
   w.Key("simd_isa").String(nn::SimdIsaName());
-  WriteComparison(&w, "naru_progressive_sample", "dense per-query",
-                  "sparse batched engine", naru_cmp);
-  WriteComparison(&w, "mscn_estimate_batch", "per-query loop",
-                  "batched forward", mscn_cmp);
+  WriteComparison(&w, "mscn_batch_of_one", "n batches of one",
+                  "one batch of n", mscn_cmp, queries.size());
+  WriteComparison(&w, "lwnn_batch_of_one", "n batches of one",
+                  "one batch of n", lwnn_cmp, queries.size());
+  WriteComparison(&w, "naru_batch_of_one", "n batches of one",
+                  "one batch of n", naru_cmp, queries.size());
   WriteComparison(&w, "naru_batched_simd", "scalar kernels", "simd kernels",
                   naru_simd);
   WriteComparison(&w, "mscn_batched_simd", "scalar kernels", "simd kernels",
@@ -262,8 +242,9 @@ int Main() {
   CONFCARD_CHECK_MSG(out.is_open(), "cannot write BENCH_inference.json");
   out << w.str() << "\n";
   std::printf("wrote %s\n", path);
-  CONFCARD_CHECK_MSG(naru_cmp.identical && mscn_cmp.identical,
-                     "optimized inference produced non-identical results");
+  CONFCARD_CHECK_MSG(
+      mscn_cmp.identical && lwnn_cmp.identical && naru_cmp.identical,
+      "one batch of n differs from n batches of one");
   CONFCARD_CHECK_MSG(
       naru_simd.identical && mscn_simd.identical && train_simd.identical,
       "SIMD kernels produced non-identical estimates");

@@ -26,18 +26,21 @@ class CardinalityEstimator {
 
   virtual std::string name() const = 0;
 
-  /// Estimated COUNT(*) for `query`, in tuples (>= 0).
-  virtual double EstimateCardinality(const Query& query) const = 0;
-
-  /// Estimates `n` queries, writing results to out[0..n). Semantically a
-  /// loop over EstimateCardinality — and that is the default — but
-  /// batch-capable estimators override it to amortize model forwards
-  /// (one GEMM instead of n GEMVs, shared progressive-sampling steps).
-  /// Overrides must return bit-identical values to the per-query loop;
-  /// determinism_test enforces this.
+  /// Estimated COUNT(*) for each of `n` queries, in tuples (>= 0),
+  /// written to out[0..n). The one estimation path: learned models
+  /// amortize their forwards across the batch (one GEMM instead of n
+  /// GEMVs, shared progressive-sampling steps), and every query's value
+  /// must not depend on which queries share its batch — any partition
+  /// of a workload equals batches of one, bit for bit (determinism_test
+  /// and the golden values in inference_batch_test enforce this).
   virtual void EstimateBatch(const Query* queries, size_t n,
-                             double* out) const {
-    for (size_t i = 0; i < n; ++i) out[i] = EstimateCardinality(queries[i]);
+                             double* out) const = 0;
+
+  /// Estimated COUNT(*) for `query`: a batch of one.
+  double EstimateCardinality(const Query& query) const {
+    double out = 0.0;
+    EstimateBatch(&query, 1, &out);
+    return out;
   }
 
   /// Process-unique id of this estimator instance. Used by caches in

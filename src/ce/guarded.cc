@@ -101,7 +101,11 @@ bool GuardedEstimator::AllowPrimary(bool* probe) const {
 void GuardedEstimator::RecordPrimaryOutcome(bool ok, bool was_probe) const {
   if (options_.breaker_threshold <= 0) return;
   if (ok) {
-    consecutive_failures_.store(0, std::memory_order_relaxed);
+    // Healthy steady state stays read-only: shards may share one guard,
+    // and a store per query would bounce this line between their cores.
+    if (consecutive_failures_.load(std::memory_order_relaxed) != 0) {
+      consecutive_failures_.store(0, std::memory_order_relaxed);
+    }
     if (open_.load(std::memory_order_acquire) &&
         open_.exchange(false, std::memory_order_acq_rel)) {
       // A healthy probe closes the breaker (exactly one thread observes
@@ -133,42 +137,46 @@ void GuardedEstimator::RecordPrimaryOutcome(bool ok, bool was_probe) const {
   (void)was_probe;
 }
 
-bool GuardedEstimator::TryPrimary(const Query& query, double* value) const {
-  const int attempts = 1 + std::max(options_.max_retries, 0);
-  for (int attempt = 0; attempt < attempts; ++attempt) {
-    double v;
-    double elapsed_us;
-    {
-      Stopwatch watch;
-      if (attempt == 0) {
-        // Attempt 0 runs with the default retry salt so a guarded
-        // primary sees exactly the injection decisions the raw model
-        // would.
-        v = primary_->EstimateCardinality(query);
-      } else {
-        fault::ScopedRetrySalt salt(static_cast<uint64_t>(attempt));
-        v = primary_->EstimateCardinality(query);
-      }
-      elapsed_us = watch.ElapsedMicros();
-    }
-    bool ok = Sane(v);
-    if (!ok) {
-      (std::isnan(v) || std::isinf(v) ? metrics_.sanitized_nan
-                                      : metrics_.sanitized_negative)
-          .Increment();
-    } else if (options_.latency_budget_us > 0.0 &&
-               elapsed_us > options_.latency_budget_us) {
-      metrics_.budget_exceeded.Increment();
-      ok = false;
-    }
-    if (ok) {
-      if (attempt > 0) metrics_.retry_success.Increment();
-      *value = v;
-      return true;
-    }
-    if (attempt + 1 < attempts) metrics_.retries.Increment();
+bool GuardedEstimator::Accept(double value, double elapsed_us) const {
+  if (!Sane(value)) {
+    (std::isnan(value) || std::isinf(value) ? metrics_.sanitized_nan
+                                            : metrics_.sanitized_negative)
+        .Increment();
+    return false;
   }
-  return false;
+  if (options_.latency_budget_us > 0.0 &&
+      elapsed_us > options_.latency_budget_us) {
+    metrics_.budget_exceeded.Increment();
+    return false;
+  }
+  return true;
+}
+
+GuardedEstimate GuardedEstimator::Settle(const Query& query, double value,
+                                         double elapsed_us, bool probe,
+                                         uint64_t order_key) const {
+  const int attempts = 1 + std::max(options_.max_retries, 0);
+  int attempt = 0;
+  while (!Accept(value, elapsed_us)) {
+    if (++attempt == attempts) {
+      RecordPrimaryOutcome(false, probe);
+      GuardedEstimate out = ServeFallback(query);
+      EmitGuardRecord(query, out, probe ? "probe_failed" : "primary_failed",
+                      order_key);
+      return out;
+    }
+    metrics_.retries.Increment();
+    // Attempt 0 ran with the default salt, so the primary saw exactly
+    // the injection decisions the raw model would; retries re-roll them.
+    fault::ScopedRetrySalt salt(static_cast<uint64_t>(attempt));
+    Stopwatch watch;
+    value = primary_->EstimateCardinality(query);
+    elapsed_us = watch.ElapsedMicros();
+  }
+  if (attempt > 0) metrics_.retry_success.Increment();
+  RecordPrimaryOutcome(true, probe);
+  metrics_.primary_ok.Increment();
+  return {value, false, 0};
 }
 
 GuardedEstimate GuardedEstimator::ServeFallback(const Query& query) const {
@@ -205,9 +213,6 @@ void GuardedEstimator::EmitGuardRecord(const Query& query,
   }
 }
 
-// Everything EstimateGuarded does except the per-query counter bump —
-// the batched fast path re-enters here for queries whose batched output
-// failed sanitization, and must not double-count them.
 GuardedEstimate GuardedEstimator::GuardOne(const Query& query,
                                            uint64_t order_key) const {
   // Detail-only span over the whole ladder (validation, the
@@ -226,31 +231,17 @@ GuardedEstimate GuardedEstimator::GuardOne(const Query& query,
   }
   Stopwatch watch;
   bool probe = false;
+  GuardedEstimate out;
   if (!AllowPrimary(&probe)) {
-    GuardedEstimate out = ServeFallback(query);
+    out = ServeFallback(query);
     EmitGuardRecord(query, out, "breaker_open", order_key);
-    metrics_.latency_us.Record(watch.ElapsedMicros());
-    return out;
+  } else {
+    if (probe) metrics_.breaker_probes.Increment();
+    const double value = primary_->EstimateCardinality(query);
+    out = Settle(query, value, watch.ElapsedMicros(), probe, order_key);
   }
-  if (probe) metrics_.breaker_probes.Increment();
-  double value = 0.0;
-  if (TryPrimary(query, &value)) {
-    RecordPrimaryOutcome(true, probe);
-    metrics_.primary_ok.Increment();
-    metrics_.latency_us.Record(watch.ElapsedMicros());
-    return {value, false, 0};
-  }
-  RecordPrimaryOutcome(false, probe);
-  GuardedEstimate out = ServeFallback(query);
-  EmitGuardRecord(query, out, probe ? "probe_failed" : "primary_failed",
-                  order_key);
   metrics_.latency_us.Record(watch.ElapsedMicros());
   return out;
-}
-
-GuardedEstimate GuardedEstimator::EstimateGuarded(const Query& query) const {
-  metrics_.queries.Increment();
-  return GuardOne(query);
 }
 
 void GuardedEstimator::EstimateBatchGuarded(const Query* queries, size_t n,
@@ -265,12 +256,12 @@ void GuardedEstimator::EstimateBatchGuarded(const Query* queries, size_t n,
     return order_key_base == 0 ? 0 : order_key_base + i;
   };
   metrics_.queries.Increment(n);
-  // The primary's batched engine is only safe (and only bit-identical
-  // to the per-query guard) when nothing can intervene mid-batch: no
-  // injected faults, no per-query budget, breaker closed.
-  const bool fast = !fault::Enabled() && options_.latency_budget_us <= 0.0 &&
-                    !breaker_open();
-  if (!fast) {
+  // One batched attempt 0 needs nothing to decide per query before the
+  // primary runs: no injected faults, no per-query budget, breaker
+  // closed.
+  const bool batched = !fault::Enabled() &&
+                       options_.latency_budget_us <= 0.0 && !breaker_open();
+  if (!batched) {
     for (size_t i = 0; i < n; ++i) out[i] = GuardOne(queries[i], key_at(i));
     return;
   }
@@ -310,17 +301,10 @@ void GuardedEstimator::EstimateBatchGuarded(const Query* queries, size_t n,
     }
     primary_->EstimateBatch(compacted.data(), valid.size(), values.data());
   }
+  // The breaker sees each outcome in query order.
   for (size_t k = 0; k < valid.size(); ++k) {
     const size_t i = valid[k];
-    if (Sane(values[k])) {
-      metrics_.primary_ok.Increment();
-      out[i] = {values[k], false, 0};
-    } else {
-      // A real (un-injected) NaN/negative from the primary: run the full
-      // per-query ladder, which re-counts the sanitization and falls
-      // back.
-      out[i] = GuardOne(queries[i], key_at(i));
-    }
+    out[i] = Settle(queries[i], values[k], 0.0, /*probe=*/false, key_at(i));
   }
 }
 
@@ -342,10 +326,6 @@ void GuardedEstimator::EstimateFallbackTier(const Query* queries, size_t n,
     out[i] = ServeFallback(queries[i]);
     EmitGuardRecord(queries[i], out[i], "drift_fallback", key_at(i));
   }
-}
-
-double GuardedEstimator::EstimateCardinality(const Query& query) const {
-  return EstimateGuarded(query).value;
 }
 
 void GuardedEstimator::EstimateBatch(const Query* queries, size_t n,

@@ -43,7 +43,7 @@ struct GuardOptions {
   int max_retries = 1;
   /// Per-query wall-clock budget in microseconds for the primary; 0
   /// disables budget enforcement (and keeps the guarded batch path on
-  /// the primary's batched fast path).
+  /// the primary's batched call).
   double latency_budget_us = 0.0;
   /// Consecutive primary failures (counting each query once, after
   /// retries) that trip the circuit breaker; <= 0 disables the breaker.
@@ -53,7 +53,7 @@ struct GuardOptions {
   int breaker_cooldown = 32;
 };
 
-/// Caller-owned reusable buffers for EstimateBatchGuarded's fast path.
+/// Caller-owned reusable buffers for EstimateBatchGuarded's batched call.
 /// A serving loop that keeps one scratch per worker pays zero heap
 /// allocations per batch once the vectors have grown to the loop's
 /// steady-state batch size (bench_serving gates this).
@@ -90,16 +90,21 @@ class GuardedEstimator : public CardinalityEstimator {
   void AddFallback(const CardinalityEstimator& fallback);
 
   std::string name() const override;
-  double EstimateCardinality(const Query& query) const override;
+  /// EstimateBatchGuarded, values only.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 
-  /// Rich single-query path: value plus degradation provenance.
-  GuardedEstimate EstimateGuarded(const Query& query) const;
+  /// Value plus degradation provenance for one query: a batch of one.
+  GuardedEstimate EstimateGuarded(const Query& query) const {
+    GuardedEstimate out;
+    EstimateBatchGuarded(&query, 1, &out);
+    return out;
+  }
   /// Rich batch path. When no faults are armed, no budget is set, and
-  /// the breaker is closed, this runs the primary's batched fast path
-  /// and only sanitizes; otherwise queries go through the full per-query
-  /// guard.
+  /// the breaker is closed, one batched primary call over the valid
+  /// queries is attempt 0; only the queries whose answer failed go on
+  /// to retry and fallback, in query order. Otherwise every query takes
+  /// the per-query ladder (GuardOne).
   ///
   /// `order_key_base`: event-log ordering key for guard records emitted
   /// by query 0 of this batch (query i uses base + i); see
@@ -108,7 +113,7 @@ class GuardedEstimator : public CardinalityEstimator {
   /// log is deterministic; 0 (the default) lets the log assign
   /// per-thread automatic keys.
   ///
-  /// `scratch`: optional reusable buffers for the fast path; pass a
+  /// `scratch`: optional reusable buffers for the batched call; pass a
   /// per-worker GuardBatchScratch to make steady-state batches
   /// allocation-free. Null falls back to call-local vectors.
   void EstimateBatchGuarded(const Query* queries, size_t n,
@@ -144,14 +149,19 @@ class GuardedEstimator : public CardinalityEstimator {
   /// True iff `v` may be served as a cardinality.
   static bool Sane(double v);
 
-  /// The full per-query guard (validate → breaker → primary ladder →
-  /// fallback), minus the queries-counter bump — shared by the single
-  /// and batch entry points. `order_key` keys any emitted guard record
-  /// (0 = automatic).
-  GuardedEstimate GuardOne(const Query& query, uint64_t order_key = 0) const;
-  /// One guarded attempt ladder against the primary (including retries
-  /// and budget enforcement). Returns true and sets *value on success.
-  bool TryPrimary(const Query& query, double* value) const;
+  /// The per-query guard (validate → breaker → timed attempt 0 →
+  /// Settle), minus the queries-counter bump, for batches that need a
+  /// decision per query: faults armed, a latency budget, or the breaker
+  /// open. `order_key` keys any emitted guard record (0 = automatic).
+  GuardedEstimate GuardOne(const Query& query, uint64_t order_key) const;
+  /// The rest of the ladder once attempt 0 has answered `value` in
+  /// `elapsed_us`: retries while the answer fails, then breaker
+  /// bookkeeping, then the primary's answer or the fallback chain's.
+  GuardedEstimate Settle(const Query& query, double value, double elapsed_us,
+                         bool probe, uint64_t order_key) const;
+  /// True iff a primary answer may be served: sane and, with a budget
+  /// set, on time. Counts the failure's cause otherwise.
+  bool Accept(double value, double elapsed_us) const;
   /// Walks the fallback chain; always produces a sane value.
   GuardedEstimate ServeFallback(const Query& query) const;
   /// Breaker bookkeeping after a query's primary outcome.

@@ -124,12 +124,15 @@ double HistogramEstimator::PredicateSelectivity(const Predicate& pred) const {
   return h.EstimateSelectivity(pred.lo, pred.hi);
 }
 
-double HistogramEstimator::EstimateCardinality(const Query& query) const {
-  double sel = 1.0;
-  for (const Predicate& p : query.predicates) {
-    sel *= PredicateSelectivity(p);
+void HistogramEstimator::EstimateBatch(const Query* queries, size_t n,
+                                       double* out) const {
+  for (size_t i = 0; i < n; ++i) {
+    double sel = 1.0;
+    for (const Predicate& p : queries[i].predicates) {
+      sel *= PredicateSelectivity(p);
+    }
+    out[i] = sel * num_rows_;
   }
-  return sel * num_rows_;
 }
 
 }  // namespace confcard

@@ -53,7 +53,8 @@ class HistogramEstimator : public CardinalityEstimator {
   explicit HistogramEstimator(const Table& table, int num_buckets = 64);
 
   std::string name() const override { return "histogram-avi"; }
-  double EstimateCardinality(const Query& query) const override;
+  void EstimateBatch(const Query* queries, size_t n,
+                     double* out) const override;
 
   /// Per-predicate selectivity estimate in [0, 1].
   double PredicateSelectivity(const Predicate& pred) const;

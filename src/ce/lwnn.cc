@@ -145,26 +145,6 @@ Status LwnnEstimator::Train(const Table& table, const Workload& workload) {
   return Status::OK();
 }
 
-double LwnnEstimator::EstimateCardinality(const Query& query) const {
-  CONFCARD_CHECK_MSG(net_ != nullptr, "lw-nn: not trained");
-  static obs::Counter& queries =
-      obs::Metrics().GetCounter("ce.lw-nn.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.lw-nn.infer_us");
-  Stopwatch watch;
-  nn::Tensor in = nn::Tensor::Uninitialized(1, flat_->dim() + 2);
-  FeaturesInto(query, in.RowPtr(0));
-  nn::Tensor out = net_->Apply(in);
-  double card = std::exp(static_cast<double>(out.At(0, 0))) - 1.0;
-  latency.Record(watch.ElapsedMicros());
-  queries.Increment();
-  card = std::clamp(card, 0.0, num_rows_);
-  if (fault::Enabled()) {
-    card = fault::PerturbValue("lwnn.forward", QueryContentKey(query), card);
-  }
-  return card;
-}
-
 void LwnnEstimator::EstimateBatch(const Query* queries, size_t n,
                                   double* out) const {
   if (n == 0) return;

@@ -34,10 +34,8 @@ class LwnnEstimator : public SupervisedEstimator {
   explicit LwnnEstimator(Options options);
 
   std::string name() const override { return "lw-nn"; }
-  double EstimateCardinality(const Query& query) const override;
   /// Packs all featurized queries into one Tensor and runs a single
-  /// Apply (GEMM instead of n GEMVs). Bit-identical to the per-query
-  /// loop.
+  /// fused forward (GEMM instead of n GEMVs).
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 

@@ -79,25 +79,6 @@ Status MscnEstimator::Train(const Table& table, const Workload& workload) {
   return model_->Train(inputs, targets);
 }
 
-double MscnEstimator::EstimateCardinality(const Query& query) const {
-  CONFCARD_CHECK_MSG(model_ != nullptr, "mscn: not trained");
-  static obs::Counter& queries =
-      obs::Metrics().GetCounter("ce.mscn.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.mscn.infer_us");
-  Stopwatch watch;
-  double log_card = model_->PredictLogCard(featurizer_->Featurize(query));
-  latency.Record(watch.ElapsedMicros());
-  queries.Increment();
-  // A single-table count can never exceed the table size; clamping also
-  // guards against exp() blow-ups on out-of-distribution queries.
-  double card = std::clamp(std::exp(log_card) - 1.0, 0.0, num_rows_);
-  if (fault::Enabled()) {
-    card = fault::PerturbValue("mscn.forward", QueryContentKey(query), card);
-  }
-  return card;
-}
-
 void MscnEstimator::EstimateBatch(const Query* queries, size_t n,
                                   double* out) const {
   if (n == 0) return;
@@ -139,6 +120,8 @@ void MscnEstimator::EstimateBatch(const Query* queries, size_t n,
   }
   const bool faults = fault::Enabled();
   for (size_t i = 0; i < n; ++i) {
+    // A single-table count can never exceed the table size; clamping also
+    // guards against exp() blow-ups on out-of-distribution queries.
     out[i] = std::clamp(std::exp(out[i]) - 1.0, 0.0, num_rows_);
     if (faults) {
       out[i] = fault::PerturbValue("mscn.forward",
@@ -262,19 +245,6 @@ Status MscnJoinEstimator::Train(const Database& db,
     targets.push_back(std::log(lq.cardinality + 1.0));
   }
   return model_->Train(inputs, targets);
-}
-
-double MscnJoinEstimator::EstimateCardinality(const JoinQuery& query) const {
-  CONFCARD_CHECK_MSG(model_ != nullptr, "mscn-join: not trained");
-  static obs::Counter& queries =
-      obs::Metrics().GetCounter("ce.mscn-join.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.mscn-join.infer_us");
-  Stopwatch watch;
-  double log_card = model_->PredictLogCard(featurizer_->Featurize(query));
-  latency.Record(watch.ElapsedMicros());
-  queries.Increment();
-  return std::max(0.0, std::exp(log_card) - 1.0);
 }
 
 void MscnJoinEstimator::EstimateBatch(const JoinQuery* queries, size_t n,

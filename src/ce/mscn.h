@@ -26,10 +26,8 @@ class MscnEstimator : public SupervisedEstimator {
   explicit MscnEstimator(Options options);
 
   std::string name() const override { return "mscn"; }
-  double EstimateCardinality(const Query& query) const override;
   /// Featurizes all queries and runs one packed MscnModel forward (a
-  /// GEMM over the batch instead of n GEMVs). Bit-identical to the
-  /// per-query loop.
+  /// GEMM over the batch instead of n GEMVs).
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 
@@ -72,11 +70,15 @@ class MscnJoinEstimator {
   uint64_t instance_id() const { return instance_id_; }
 
   Status Train(const Database& db, const JoinWorkload& workload);
-  double EstimateCardinality(const JoinQuery& query) const;
-  /// Batched counterpart of EstimateCardinality (one packed forward;
-  /// bit-identical results). Mirrors CardinalityEstimator::EstimateBatch
-  /// for the join-query type.
+  /// One packed forward over the batch. Mirrors
+  /// CardinalityEstimator::EstimateBatch for the join-query type.
   void EstimateBatch(const JoinQuery* queries, size_t n, double* out) const;
+  /// A batch of one.
+  double EstimateCardinality(const JoinQuery& query) const {
+    double out = 0.0;
+    EstimateBatch(&query, 1, &out);
+    return out;
+  }
 
   std::unique_ptr<MscnJoinEstimator> CloneArchitecture(
       uint64_t seed_offset) const;

@@ -242,28 +242,6 @@ Status MscnModel::DeserializeParams(ArchiveReader* reader) {
   return Status::OK();
 }
 
-nn::Tensor MscnModel::Apply(const std::vector<const MscnInput*>& batch) const {
-  const size_t batch_size = batch.size();
-  const size_t h = config_.set_hidden;
-
-  nn::Tensor pooled(batch_size, 3 * h);
-
-  auto run_set = [&](const std::vector<std::vector<float>> MscnInput::*member,
-                     const nn::Mlp* mlp, size_t dim, size_t out_offset) {
-    std::vector<size_t> offsets;
-    nn::Tensor packed = PackSet(batch, member, dim, &offsets);
-    if (offsets.back() == 0) return;  // all sets empty: pooled stays zero
-    nn::Tensor hidden = mlp->Apply(packed);
-    PoolMeanInto(hidden, offsets, batch_size, &pooled, out_offset);
-  };
-
-  run_set(&MscnInput::tables, table_mlp_.get(), table_dim_, 0);
-  run_set(&MscnInput::joins, join_mlp_.get(), join_dim_, h);
-  run_set(&MscnInput::predicates, pred_mlp_.get(), pred_dim_, 2 * h);
-
-  return out_mlp_->Apply(pooled);
-}
-
 nn::Tensor MscnModel::ApplyPacked(const MscnPackedBatch& batch) const {
   const size_t batch_size = batch.batch_size;
   const size_t h = config_.set_hidden;
@@ -295,18 +273,18 @@ void MscnModel::PredictLogCardPacked(const MscnPackedBatch& batch,
 }
 
 double MscnModel::PredictLogCard(const MscnInput& input) const {
-  std::vector<const MscnInput*> batch = {&input};
-  nn::Tensor pred = Apply(batch);
-  return static_cast<double>(pred.At(0, 0));
-}
-
-void MscnModel::PredictLogCardBatch(const std::vector<const MscnInput*>& batch,
-                                    double* out) const {
-  if (batch.empty()) return;
-  nn::Tensor pred = Apply(batch);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    out[i] = static_cast<double>(pred.At(i, 0));
-  }
+  const std::vector<const MscnInput*> one = {&input};
+  MscnPackedBatch packed;
+  packed.batch_size = 1;
+  packed.tables =
+      PackSet(one, &MscnInput::tables, table_dim_, &packed.table_offsets);
+  packed.joins =
+      PackSet(one, &MscnInput::joins, join_dim_, &packed.join_offsets);
+  packed.predicates =
+      PackSet(one, &MscnInput::predicates, pred_dim_, &packed.pred_offsets);
+  double out = 0.0;
+  PredictLogCardPacked(packed, &out);
+  return out;
 }
 
 }  // namespace confcard

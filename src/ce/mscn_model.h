@@ -51,21 +51,16 @@ class MscnModel {
   Status Train(const std::vector<MscnInput>& inputs,
                const std::vector<double>& log_targets);
 
-  /// Forward pass for one query. Touches no training scratch, so a
-  /// trained model can serve many threads concurrently.
-  double PredictLogCard(const MscnInput& input) const;
-
-  /// One forward for the whole batch, writing log-cardinalities to
-  /// out[0..batch.size()). Each sample's set elements occupy their own
-  /// rows of the packed tensors and pooling is per-sample, so every
-  /// prediction is bit-identical to a batch-of-1 PredictLogCard.
-  void PredictLogCardBatch(const std::vector<const MscnInput*>& batch,
-                           double* out) const;
-
-  /// PredictLogCardBatch over a pre-packed batch: identical bits (the
-  /// packed tensors hold the same rows PackSet would build), none of the
-  /// intermediate per-query allocations.
+  /// One forward for the whole pre-packed batch, writing
+  /// log-cardinalities to out[0..batch.batch_size). Each sample's set
+  /// elements occupy their own rows of the packed tensors and pooling is
+  /// per-sample, so every prediction is independent of the rest of the
+  /// batch. Touches no training scratch, so a trained model can serve
+  /// many threads concurrently.
   void PredictLogCardPacked(const MscnPackedBatch& batch, double* out) const;
+
+  /// PredictLogCardPacked over one unpacked input.
+  double PredictLogCard(const MscnInput& input) const;
 
   /// Mean loss of the final training epoch (0 before Train). Lets the
   /// harness republish the nn.mscn.last_loss gauge deterministically
@@ -83,9 +78,8 @@ class MscnModel {
  private:
   /// Batched forward over `batch`; returns (batch_size, 1) predictions.
   nn::Tensor Forward(const std::vector<const MscnInput*>& batch);
-  /// Inference-only forward: same numbers as Forward, no cached scratch.
-  nn::Tensor Apply(const std::vector<const MscnInput*>& batch) const;
-  /// Inference-only forward over pre-packed set tensors.
+  /// Inference-only forward over pre-packed set tensors: same numbers as
+  /// Forward, no cached scratch.
   nn::Tensor ApplyPacked(const MscnPackedBatch& batch) const;
   /// Backprop of dLoss/dPred through the whole network.
   void Backward(const nn::Tensor& grad_pred);

@@ -237,63 +237,7 @@ Status NaruEstimator::Train(const Table& table) {
   return Status::OK();
 }
 
-double NaruEstimator::ProgressiveSampleDense(
-    const std::vector<std::pair<int, int>>& bin_ranges,
-    int last_constrained) const {
-  const size_t total = binner_->TotalBins();
-  const size_t S = std::max<size_t>(1, config_.num_samples);
-  obs::Metrics().GetCounter("ce.naru.progressive_samples").Increment(S);
-
-  // Deterministic per-call sampler: inference must be repeatable.
-  Rng rng(config_.seed ^ 0x5EEDBEEFULL);
-
-  nn::Tensor input(S, total);  // grows one one-hot block per step
-  std::vector<double> path_prob(S, 1.0);
-  std::vector<float> probs;
-
-  for (int c = 0; c <= last_constrained; ++c) {
-    const size_t lo_off = block_offsets_[static_cast<size_t>(c)];
-    const size_t width = block_offsets_[static_cast<size_t>(c) + 1] - lo_off;
-    probs.resize(width);
-    nn::Tensor logits = net_->Apply(input);
-
-    const auto [blo, bhi] = bin_ranges[static_cast<size_t>(c)];
-    for (size_t s = 0; s < S; ++s) {
-      if (path_prob[s] == 0.0) continue;
-      nn::SoftmaxRow(logits.RowPtr(s) + lo_off, width, probs.data());
-
-      double mass = 0.0;
-      if (blo <= bhi) {
-        for (int b = blo; b <= bhi; ++b) {
-          mass += static_cast<double>(probs[static_cast<size_t>(b)]);
-        }
-      }
-      path_prob[s] *= mass;
-      if (path_prob[s] == 0.0) continue;
-
-      // Sample the value for this column from the (masked, renormalized)
-      // conditional and extend the one-hot prefix.
-      double u = rng.NextDouble() * mass;
-      int chosen = blo;
-      double acc = 0.0;
-      for (int b = blo; b <= bhi; ++b) {
-        acc += static_cast<double>(probs[static_cast<size_t>(b)]);
-        if (u < acc) {
-          chosen = b;
-          break;
-        }
-        chosen = b;
-      }
-      input.At(s, lo_off + static_cast<size_t>(chosen)) = 1.0f;
-    }
-  }
-
-  double mean = 0.0;
-  for (double p : path_prob) mean += p;
-  return mean / static_cast<double>(S);
-}
-
-void NaruEstimator::SampleBatchSparse(const PreparedQuery* queries, size_t n,
+void NaruEstimator::ProgressiveSample(const PreparedQuery* queries, size_t n,
                                       double* sel_out) const {
   const size_t total = binner_->TotalBins();
   const size_t S = std::max<size_t>(1, config_.num_samples);
@@ -313,8 +257,8 @@ void NaruEstimator::SampleBatchSparse(const PreparedQuery* queries, size_t n,
   }
 
   // Row q*S+s is sample path s of query q. Each query draws from its own
-  // Rng stream so the draw sequence matches the per-query sampler no
-  // matter how queries are batched together.
+  // Rng stream so its draw sequence is the same no matter how queries
+  // are batched together.
   std::vector<Rng> rngs;
   rngs.reserve(n);
   for (size_t q = 0; q < n; ++q) rngs.emplace_back(config_.seed ^ 0x5EEDBEEFULL);
@@ -339,7 +283,7 @@ void NaruEstimator::SampleBatchSparse(const PreparedQuery* queries, size_t n,
     // Active-path compaction: drop rows whose path already has zero
     // probability and rows of queries with no constraint at or beyond
     // this column. Surviving rows keep their (query asc, sample asc)
-    // order, which is the per-query draw order.
+    // order, so each query's draws stay in sample order.
     active.clear();
     indices.clear();
     row_offsets.clear();
@@ -439,35 +383,9 @@ double NaruEstimator::EstimateSelectivity(const Query& query) const {
   const PreparedQuery prepared = Prepare(query);
   if (prepared.last_constrained < 0) return 1.0;
   if (prepared.empty_range) return 0.0;
-  if (config_.sparse_inference) {
-    double sel = 0.0;
-    SampleBatchSparse(&prepared, 1, &sel);
-    return sel;
-  }
-  return ProgressiveSampleDense(prepared.ranges, prepared.last_constrained);
-}
-
-double NaruEstimator::EstimateCardinality(const Query& query) const {
-  static obs::Counter& queries =
-      obs::Metrics().GetCounter("ce.naru.queries");
-  static obs::Histogram& latency =
-      obs::Metrics().GetHistogram("ce.naru.infer_us");
-  Stopwatch watch;
-  const double selectivity = EstimateSelectivity(query);
-  latency.Record(watch.ElapsedMicros());
-  queries.Increment();
-  double card = selectivity * num_rows_;
-  if (fault::Enabled()) {
-    const uint64_t key = QueryContentKey(query);
-    // sampler.step models a stall/failure inside progressive sampling —
-    // it only applies to queries that actually ran the sampling engine.
-    const PreparedQuery prepared = Prepare(query);
-    if (prepared.last_constrained >= 0 && !prepared.empty_range) {
-      card = fault::PerturbValue("sampler.step", key, card);
-    }
-    card = fault::PerturbValue("naru.forward", key, card);
-  }
-  return card;
+  double sel = 0.0;
+  ProgressiveSample(&prepared, 1, &sel);
+  return sel;
 }
 
 void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
@@ -481,8 +399,7 @@ void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
   Stopwatch watch;
 
   // Trivial queries (no predicates / empty bin ranges) are answered
-  // directly, exactly as the per-query path does; the rest share the
-  // sampling engine.
+  // directly; the rest share the sampling engine.
   std::vector<PreparedQuery> prepared(n);
   std::vector<size_t> engine_idx;
   engine_idx.reserve(n);
@@ -497,22 +414,14 @@ void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
     }
   }
   if (!engine_idx.empty()) {
-    if (config_.sparse_inference) {
-      std::vector<PreparedQuery> engine_queries;
-      engine_queries.reserve(engine_idx.size());
-      for (size_t idx : engine_idx) engine_queries.push_back(prepared[idx]);
-      std::vector<double> sel(engine_idx.size());
-      SampleBatchSparse(engine_queries.data(), engine_queries.size(),
-                        sel.data());
-      for (size_t k = 0; k < engine_idx.size(); ++k) {
-        out[engine_idx[k]] = sel[k] * num_rows_;
-      }
-    } else {
-      for (size_t idx : engine_idx) {
-        out[idx] = ProgressiveSampleDense(prepared[idx].ranges,
-                                          prepared[idx].last_constrained) *
-                   num_rows_;
-      }
+    std::vector<PreparedQuery> engine_queries;
+    engine_queries.reserve(engine_idx.size());
+    for (size_t idx : engine_idx) engine_queries.push_back(prepared[idx]);
+    std::vector<double> sel(engine_idx.size());
+    ProgressiveSample(engine_queries.data(), engine_queries.size(),
+                      sel.data());
+    for (size_t k = 0; k < engine_idx.size(); ++k) {
+      out[engine_idx[k]] = sel[k] * num_rows_;
     }
   }
 
@@ -526,9 +435,8 @@ void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
     }
   }
 
-  // Telemetry parity with the per-query path: one count per query, and
-  // the histogram receives one (amortized) sample per query so its count
-  // matches a per-query run.
+  // One count per query, and one (amortized) histogram sample per query,
+  // so the counts do not depend on how queries were batched.
   const double per_query_us = watch.ElapsedMicros() / static_cast<double>(n);
   for (size_t i = 0; i < n; ++i) latency.Record(per_query_us);
   query_counter.Increment(n);

@@ -32,12 +32,6 @@ struct NaruConfig {
   /// Progressive-sampling paths per query at inference.
   size_t num_samples = 32;
   uint64_t seed = 97;
-  /// Route inference through the sparsity-aware sampling engine (one-hot
-  /// weight gathers, active-path compaction, cross-query batching). Both
-  /// paths produce bit-identical results; the dense path is kept as the
-  /// reference for golden tests and benchmarks. Not serialized — it
-  /// changes how the forward is computed, not what it computes.
-  bool sparse_inference = true;
 };
 
 /// The Naru estimator.
@@ -47,21 +41,18 @@ class NaruEstimator : public DataDrivenEstimator {
 
   std::string name() const override { return "naru"; }
   Status Train(const Table& table) override;
-  double EstimateCardinality(const Query& query) const override;
   /// Cross-query batched progressive sampling: non-trivial queries share
   /// one forward per column step (their sample rows are stacked into a
-  /// single block-sparse batch). Bit-identical to the per-query loop.
+  /// single block-sparse batch). Each query keeps its own sampler
+  /// stream, so its value does not depend on its batch.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 
-  /// Estimated selectivity in [0, 1] (EstimateCardinality / N).
+  /// Estimated selectivity in [0, 1]: the sampler's mean path
+  /// probability (EstimateCardinality is this times N).
   double EstimateSelectivity(const Query& query) const;
 
   const NaruConfig& config() const { return config_; }
-  /// Toggles the sparse engine at inference time (training is
-  /// unaffected). Tests and benches flip this to compare both paths on
-  /// the same trained weights.
-  void set_sparse_inference(bool on) { config_.sparse_inference = on; }
 
   /// Persists the trained model (config + MADE weights). Binner
   /// statistics and masks are deterministic functions of (table,
@@ -83,20 +74,15 @@ class NaruEstimator : public DataDrivenEstimator {
   void BuildNetwork(Rng& rng);
   /// Intersects the query's predicates into per-column bin ranges.
   PreparedQuery Prepare(const Query& query) const;
-  /// Reference sampler: dense MADE forward over all S sample rows each
-  /// column step. Returns the mean path probability.
-  double ProgressiveSampleDense(
-      const std::vector<std::pair<int, int>>& bin_ranges,
-      int last_constrained) const;
-  /// Sparse engine: samples `n` prepared queries together. Per column
+  /// Progressive sampling of `n` prepared queries together. Per column
   /// step, live sample rows (path_prob != 0, query still constrained at
   /// this column) across all queries are compacted into one block-sparse
   /// batch; the forward gathers first-layer weight rows for the set
   /// one-hot indices and computes only the output columns of the current
   /// block. Writes mean path probabilities to sel_out[0..n). Each query
-  /// draws from its own Rng stream in the per-query order, so results
-  /// are bit-identical to ProgressiveSampleDense.
-  void SampleBatchSparse(const PreparedQuery* queries, size_t n,
+  /// draws from its own Rng stream in sample order, so a query's result
+  /// is the same in any batch.
+  void ProgressiveSample(const PreparedQuery* queries, size_t n,
                          double* sel_out) const;
 
   NaruConfig config_;

@@ -59,11 +59,14 @@ void SamplingEstimator::SampleBitmapFloatInto(const Query& query,
   }
 }
 
-double SamplingEstimator::EstimateCardinality(const Query& query) const {
-  const std::vector<uint8_t> bitmap = SampleBitmap(query);
-  uint64_t hits = 0;
-  for (uint8_t b : bitmap) hits += b;
-  return static_cast<double>(hits) * scale_;
+void SamplingEstimator::EstimateBatch(const Query* queries, size_t n,
+                                      double* out) const {
+  for (size_t i = 0; i < n; ++i) {
+    const std::vector<uint8_t> bitmap = SampleBitmap(queries[i]);
+    uint64_t hits = 0;
+    for (uint8_t b : bitmap) hits += b;
+    out[i] = static_cast<double>(hits) * scale_;
+  }
 }
 
 double SamplingEstimator::ConfidenceHalfWidth(const Query& query) const {

@@ -20,7 +20,8 @@ class SamplingEstimator : public CardinalityEstimator {
                     uint64_t seed = 31);
 
   std::string name() const override { return "sampling"; }
-  double EstimateCardinality(const Query& query) const override;
+  void EstimateBatch(const Query* queries, size_t n,
+                     double* out) const override;
 
   size_t sample_size() const { return sample_rows_.size(); }
 

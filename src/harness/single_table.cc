@@ -122,8 +122,8 @@ const std::vector<double>& SingleTableHarness::Estimates(
   // Chunks of queries fan out across the pool and each chunk runs one
   // batched forward (inference paths are const and cache-free); each
   // slot is written exactly once, keeping output order
-  // scheduling-independent, and EstimateBatch is bit-identical to the
-  // per-query loop.
+  // scheduling-independent, and EstimateBatch gives each query the same
+  // bits in any chunk.
   std::vector<Query> queries(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
     queries[i] = workload[i].query;

@@ -30,9 +30,8 @@ Tensor Mlp::ApplyFused(const Tensor& input) const {
   // followed by a ReLU, so the bias-add and the clamp share one sweep
   // over the activations (Dense::ApplyActivated). Bit-identical to
   // Apply — per element the op sequence is unchanged — with one less
-  // pass per hidden layer. Apply stays on the plain layer chain so the
-  // per-query reference path remains the obviously-correct oracle the
-  // engine is checked against.
+  // pass per hidden layer. Apply stays on the plain layer chain as the
+  // obviously-correct oracle simd_test checks this path against.
   Tensor x = dense_.front()->ApplyActivated(input, dense_.size() > 1);
   for (size_t i = 1; i < dense_.size(); ++i) {
     x = dense_[i]->ApplyActivated(x, i + 1 < dense_.size());

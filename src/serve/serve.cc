@@ -529,12 +529,14 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
           shard->outs[i].value);
     }
   }
+  // Counted before publishing: a caller that has seen every response of
+  // a quiesced front-end may then read or reset the stats.
+  shard->batch_size_counts[m] += 1;
   const SteadyClock::time_point completed = SteadyClock::now();
   for (size_t i = 0; i < m; ++i) {
     Publish(shard->batch[i], shard->outs[i], *shard,
             static_cast<uint32_t>(m), dispatched, completed);
   }
-  shard->batch_size_counts[m] += 1;
   metrics_.batches.Increment();
   metrics_.batch_size.Record(static_cast<double>(m));
 }
@@ -622,17 +624,16 @@ void ServeFrontEnd::Stop() {
   for (auto& shard : shards_) {
     if (shard->worker.joinable()) shard->worker.join();
   }
-  // Serve any stragglers that slipped in behind a worker's exit check,
-  // per query on this thread — Stop() returns only after every accepted
-  // request has a published response.
+  // Serve any stragglers that slipped in behind a worker's exit check
+  // on this thread, through the worker's own batch cycle (drift tier,
+  // residual correction, batch size) — Stop() returns only after every
+  // accepted request has a published response.
   for (auto& shard : shards_) {
-    Request* request = nullptr;
-    while (shard->queue.TryPop(&request)) {
+    Request* first = nullptr;
+    while (shard->queue.TryPop(&first)) {
       shard->depth.fetch_sub(1, std::memory_order_relaxed);
-      const SteadyClock::time_point now = SteadyClock::now();
-      Publish(request, shard->guard->EstimateGuarded(request->query),
-              *shard, /*batch_size=*/1, now, SteadyClock::now());
-      metrics_.drained_on_stop.Increment();
+      ProcessFrom(shard.get(), first);
+      metrics_.drained_on_stop.Increment(shard->batch.size());
     }
     // Feedback accepted before the stop flag is applied, not lost:
     // Observe() rejects once stopping_, and the ring holds at most one

@@ -7,10 +7,11 @@
 // conformal prediction interval plus degraded/shed provenance per query.
 //
 // Contracts the tests and bench_serving gate:
-//   * Batching is bit-identical to the per-query guarded path when no
-//     faults are armed (EstimateBatch's bit-identity contract composes
-//     with any batch partition the timing produces), at any shard count
-//     when the replicas are trained identically.
+//   * Batching is bit-identical to guarded batches of one when no
+//     faults are armed (any partition of a workload equals batches of
+//     one, so whatever partition the timing produces serves the same
+//     bits), at any shard count when the replicas are trained
+//     identically.
 //   * The steady-state hot path — submit, queue transfer, batch
 //     assembly, guarded batched inference, interval inversion, response
 //     publication — performs zero heap allocations once buffers have
@@ -133,7 +134,7 @@ class ServeFrontEnd {
  public:
   struct Options {
     /// Micro-batch budget B: a batch is dispatched as soon as B requests
-    /// are assembled. 1 degenerates to the per-query path.
+    /// are assembled. 1 dispatches every request on its own.
     int max_batch = 32;
     /// Flush timeout T µs: a non-empty batch waits at most this long for
     /// more arrivals before dispatching. 0 flushes immediately (every

@@ -57,7 +57,13 @@ class MoodyEstimator : public CardinalityEstimator {
   enum Mode { kFlaky = 0, kDown = 1, kHealthy = 2 };
 
   std::string name() const override { return "moody"; }
-  double EstimateCardinality(const Query&) const override {
+  void EstimateBatch(const Query*, size_t n, double* out) const override {
+    for (size_t i = 0; i < n; ++i) out[i] = Next();
+  }
+  void set_mode(Mode m) { mode_.store(m, std::memory_order_release); }
+
+ private:
+  double Next() const {
     switch (mode_.load(std::memory_order_acquire)) {
       case kDown:
         return std::numeric_limits<double>::quiet_NaN();
@@ -71,9 +77,7 @@ class MoodyEstimator : public CardinalityEstimator {
       }
     }
   }
-  void set_mode(Mode m) { mode_.store(m, std::memory_order_release); }
 
- private:
   std::atomic<Mode> mode_{kFlaky};
   mutable std::atomic<uint64_t> calls_{0};
 };

@@ -14,6 +14,7 @@
 
 #include "ce/histogram.h"
 #include "data/generators.h"
+#include "query/validate.h"
 #include "query/workload.h"
 
 namespace confcard {
@@ -59,9 +60,11 @@ class ScriptedEstimator : public CardinalityEstimator {
 
   std::string name() const override { return "scripted"; }
 
-  double EstimateCardinality(const Query&) const override {
-    const size_t i = calls_++;
-    return script_[i < script_.size() ? i : script_.size() - 1];
+  void EstimateBatch(const Query*, size_t n, double* out) const override {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = calls_++;
+      out[k] = script_[i < script_.size() ? i : script_.size() - 1];
+    }
   }
 
   int calls() const { return static_cast<int>(calls_); }
@@ -77,6 +80,31 @@ class ScriptedEstimator : public CardinalityEstimator {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// A primary with a real defect on one query (NaN however often it is
+// retried) that answers 10 for every other; counts the queries it
+// estimates.
+class PoisonedEstimator : public CardinalityEstimator {
+ public:
+  explicit PoisonedEstimator(const Query& bad)
+      : bad_key_(QueryContentKey(bad)) {}
+
+  std::string name() const override { return "poisoned"; }
+
+  void EstimateBatch(const Query* queries, size_t n,
+                     double* out) const override {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = QueryContentKey(queries[i]) == bad_key_ ? kNan : 10.0;
+    }
+    calls_ += static_cast<int>(n);
+  }
+
+  int calls() const { return calls_; }
+
+ private:
+  uint64_t bad_key_;
+  mutable int calls_ = 0;
+};
 
 TEST(GuardedTest, SanitizesNanInfAndNegativeToFallback) {
   Fixture f = MakeFixture();
@@ -146,9 +174,11 @@ TEST(GuardedTest, LatencyBudgetTurnsSlownessIntoFallback) {
   class SlowEstimator : public CardinalityEstimator {
    public:
     std::string name() const override { return "slow"; }
-    double EstimateCardinality(const Query&) const override {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      return 10.0;
+    void EstimateBatch(const Query*, size_t n, double* out) const override {
+      for (size_t i = 0; i < n; ++i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        out[i] = 10.0;
+      }
     }
   } slow;
   GuardOptions opts;
@@ -208,6 +238,41 @@ TEST(GuardedTest, BreakerTripsCoolsDownAndRecovers) {
   const GuardedEstimate after = guard.EstimateGuarded(q);
   EXPECT_EQ(after.source, 0);
   EXPECT_EQ(primary.calls(), 2);
+}
+
+// Failures scattered through healthy traffic, never `threshold` in a
+// row: {good, bad, good} three times must leave the breaker closed and
+// consult the primary once per query, whether the nine queries arrive
+// as three batches or one at a time.
+TEST(GuardedTest, ScatteredFailuresInBatchesKeepBreakerClosed) {
+  Fixture f = MakeFixture();
+  const Query& good = f.workload[0].query;
+  const Query& bad = f.workload[1].query;
+  ASSERT_NE(QueryContentKey(good), QueryContentKey(bad));
+  const std::vector<Query> batch = {good, bad, good};
+  GuardOptions opts;
+  opts.max_retries = 0;
+  opts.breaker_threshold = 3;
+
+  PoisonedEstimator batched_primary(bad);
+  GuardedEstimator batched(batched_primary, f.table, opts);
+  std::vector<GuardedEstimate> out(batch.size());
+  for (int b = 0; b < 3; ++b) {
+    batched.EstimateBatchGuarded(batch.data(), batch.size(), out.data());
+    EXPECT_EQ(out[0].source, 0);
+    EXPECT_TRUE(out[1].degraded);
+    EXPECT_EQ(out[2].source, 0);
+  }
+  EXPECT_FALSE(batched.breaker_open());
+  EXPECT_EQ(batched_primary.calls(), 9);
+
+  PoisonedEstimator single_primary(bad);
+  GuardedEstimator single(single_primary, f.table, opts);
+  for (int b = 0; b < 3; ++b) {
+    for (const Query& q : batch) single.EstimateGuarded(q);
+  }
+  EXPECT_FALSE(single.breaker_open());
+  EXPECT_EQ(single_primary.calls(), 9);
 }
 
 TEST(GuardedTest, FaultsOffGuardedPathMatchesRawPrimaryBitForBit) {

@@ -1,22 +1,28 @@
 // Regression coverage for the batched, sparsity-aware inference engine:
-// (1) golden fixed-seed Naru progressive-sampling values, asserted
-// bit-exact for both the dense reference path and the sparse engine —
-// any change to either forward shows up here first; (2) batched-vs-loop
-// bit-identity for MSCN, LW-NN, and Naru EstimateBatch, including
-// batches that mix trivial (no-predicate, empty-range) queries with
-// engine queries; (3) the MaskedDense sparse kernels against their dense
-// Apply equivalents.
+// (1) golden fixed-seed values for Naru progressive sampling, MSCN and
+// LW-NN, recorded from the per-query reference paths these estimators
+// used to carry and asserted bit-exact at several batch sizes and
+// through the harness at 1 and 4 threads — any change to a forward
+// shows up here first; (2) batches that mix trivial (no-predicate,
+// empty-range) queries with Naru engine queries against batches of one;
+// (3) the MaskedDense sparse kernels against their dense Apply
+// equivalents.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "ce/estimator.h"
 #include "ce/lwnn.h"
 #include "ce/mscn.h"
 #include "ce/naru.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/generators.h"
+#include "harness/single_table.h"
 #include "nn/layers.h"
 #include "query/workload.h"
 
@@ -29,7 +35,7 @@ struct Fixture {
 };
 
 // Must stay in sync with build-time golden generation: the literals
-// below were recorded from this exact fixture and Naru config.
+// below were recorded from this exact fixture and these model configs.
 Fixture MakeFixture() {
   TableSpec spec;
   spec.name = "g";
@@ -66,10 +72,27 @@ NaruConfig SmallNaruConfig() {
   return nc;
 }
 
-// Fixed-seed progressive-sampling selectivities recorded from the dense
-// reference path (hexfloat: exact bits). The sparse engine must
-// reproduce them bit for bit — "bit-identical" is the engine's contract,
-// not an approximation target.
+MscnEstimator::Options SmallMscnOptions() {
+  MscnEstimator::Options mo;
+  mo.model.epochs = 4;
+  mo.model.set_hidden = 16;
+  mo.model.final_hidden = 16;
+  return mo;
+}
+
+LwnnEstimator::Options SmallLwnnOptions() {
+  LwnnEstimator::Options lo;
+  lo.epochs = 60;
+  lo.hidden1 = 16;
+  lo.hidden2 = 8;
+  lo.lr = 1e-2;
+  return lo;
+}
+
+// Fixed-seed progressive-sampling selectivities of the fixture's 12
+// workload queries, recorded from the dense reference sampler
+// (hexfloat: exact bits). The engine must reproduce them bit for bit —
+// "bit-identical" is its contract, not an approximation target.
 constexpr double kGoldenSelectivity[] = {
     0x1.da79b79efce9fp-10,
     0x1.90640fa3c92dep-5,
@@ -85,29 +108,58 @@ constexpr double kGoldenSelectivity[] = {
     0x1.8724f4839279ep-3,
 };
 
-TEST(InferenceBatchTest, GoldenProgressiveSampleBitExactDenseAndSparse) {
+// Cardinality estimates of GoldenQueries() (the empty query, then the
+// 12 workload queries), recorded from the per-query unpacked forwards
+// of MSCN and LW-NN trained with the Small*Options above.
+constexpr double kGoldenMscn[] = {
+    0x1.0f002f7d56531p+1, 0x1.411446872ee58p+0, 0x1.0ec980ce6acdfp+1,
+    0x1.a2a02cd8437dep+0, 0x1.a517679ea4fa4p+1, 0x1.e9c0558438bp-1,
+    0x1.31461b60db8d6p+0, 0x1.d3c3f57ac6522p+0, 0x1.c0a0df1ddeef2p+0,
+    0x1.01bdbba58433ap+0, 0x1.80f4fea44006ap-1, 0x1.c8925085d6296p-1,
+    0x1.e7d26c3979834p-2,
+};
+constexpr double kGoldenLwnn[] = {
+    0x1.7e1ab4b2b6d83p+10, 0x1.42143a0e67e78p+2, 0x1.ef5f0a82b6a1bp+6,
+    0x1.9068e38d62abcp+6,  0x1.4fe53b9854a36p+9, 0x1.bc2b8548c65d1p+6,
+    0x1.7903722ee0525p+5,  0x1.c439f73169adap+4, 0x1.e22f30c14d4a2p+3,
+    0x1.8ef6ab6f62a1bp+2,  0x1.76db29b67fe84p+8, 0x1.2652795faf92ap+7,
+    0x1.80f3809c8fe55p+8,
+};
+
+std::vector<Query> GoldenQueries(const Fixture& f) {
+  std::vector<Query> queries;
+  queries.push_back(Query{});  // empty-set / all-defaults featurization
+  for (const LabeledQuery& lq : f.workload) queries.push_back(lq.query);
+  return queries;
+}
+
+// EstimateBatch over `queries` cut into consecutive batches of `size`.
+std::vector<double> EstimateInBatchesOf(const CardinalityEstimator& model,
+                                        const std::vector<Query>& queries,
+                                        size_t size) {
+  std::vector<double> out(queries.size());
+  for (size_t b = 0; b < queries.size(); b += size) {
+    model.EstimateBatch(queries.data() + b,
+                        std::min(size, queries.size() - b), out.data() + b);
+  }
+  return out;
+}
+
+TEST(InferenceBatchTest, GoldenProgressiveSampleBitExact) {
   Fixture f = MakeFixture();
   NaruEstimator naru(SmallNaruConfig());
   ASSERT_TRUE(naru.Train(f.table).ok());
-  ASSERT_EQ(f.workload.size(),
-            sizeof(kGoldenSelectivity) / sizeof(kGoldenSelectivity[0]));
+  ASSERT_EQ(f.workload.size(), std::size(kGoldenSelectivity));
 
-  naru.set_sparse_inference(false);
   for (size_t i = 0; i < f.workload.size(); ++i) {
     ASSERT_EQ(naru.EstimateSelectivity(f.workload[i].query),
               kGoldenSelectivity[i])
-        << "dense path, query " << i;
-  }
-  naru.set_sparse_inference(true);
-  for (size_t i = 0; i < f.workload.size(); ++i) {
-    ASSERT_EQ(naru.EstimateSelectivity(f.workload[i].query),
-              kGoldenSelectivity[i])
-        << "sparse path, query " << i;
+        << "query " << i;
   }
 }
 
 // Batches mixing trivial queries (no predicates; empty bin range) with
-// engine queries must agree with the per-query loop on every slot.
+// engine queries must agree with batches of one on every slot.
 TEST(InferenceBatchTest, NaruBatchWithTrivialQueriesMatchesLoop) {
   Fixture f = MakeFixture();
   NaruEstimator naru(SmallNaruConfig());
@@ -133,63 +185,62 @@ TEST(InferenceBatchTest, NaruBatchWithTrivialQueriesMatchesLoop) {
   naru.EstimateBatch(nullptr, 0, nullptr);
 }
 
+// MSCN and LW-NN reproduce their golden estimates at batch sizes 1, 5
+// and n.
 TEST(InferenceBatchTest, MscnAndLwnnBatchMatchesLoop) {
   Fixture f = MakeFixture();
-
-  MscnEstimator::Options mo;
-  mo.model.epochs = 4;
-  mo.model.set_hidden = 16;
-  mo.model.final_hidden = 16;
-  MscnEstimator mscn(mo);
+  MscnEstimator mscn(SmallMscnOptions());
   ASSERT_TRUE(mscn.Train(f.table, f.workload).ok());
-
-  LwnnEstimator::Options lo;
-  lo.epochs = 6;
-  lo.hidden1 = 16;
-  lo.hidden2 = 8;
-  LwnnEstimator lwnn(lo);
+  LwnnEstimator lwnn(SmallLwnnOptions());
   ASSERT_TRUE(lwnn.Train(f.table, f.workload).ok());
 
-  std::vector<Query> queries;
-  queries.push_back(Query{});  // empty-set / all-defaults featurization
-  for (const LabeledQuery& lq : f.workload) queries.push_back(lq.query);
-
-  std::vector<double> batched(queries.size());
-  mscn.EstimateBatch(queries.data(), queries.size(), batched.data());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(batched[i], mscn.EstimateCardinality(queries[i]))
-        << "mscn query " << i;
-  }
-  lwnn.EstimateBatch(queries.data(), queries.size(), batched.data());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(batched[i], lwnn.EstimateCardinality(queries[i]))
-        << "lw-nn query " << i;
+  const std::vector<Query> queries = GoldenQueries(f);
+  ASSERT_EQ(queries.size(), std::size(kGoldenMscn));
+  ASSERT_EQ(queries.size(), std::size(kGoldenLwnn));
+  for (size_t size : {size_t{1}, size_t{5}, queries.size()}) {
+    SCOPED_TRACE("batch size " + std::to_string(size));
+    const std::vector<double> m = EstimateInBatchesOf(mscn, queries, size);
+    const std::vector<double> l = EstimateInBatchesOf(lwnn, queries, size);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_EQ(m[i], kGoldenMscn[i]) << "mscn query " << i;
+      ASSERT_EQ(l[i], kGoldenLwnn[i]) << "lw-nn query " << i;
+    }
   }
 }
 
-// The base-class EstimateBatch (the per-query loop every estimator
-// without a batched engine inherits) must tolerate n == 0 — including
-// null pointers — and match the scalar path on a single-query batch.
-TEST(InferenceBatchTest, BaseClassEstimateBatchEdgeSizes) {
-  class CountingEstimator : public CardinalityEstimator {
-   public:
-    std::string name() const override { return "counting"; }
-    double EstimateCardinality(const Query& query) const override {
-      ++calls;
-      return static_cast<double>(query.predicates.size()) + 0.5;
+// The harness's pooled inference sweep reproduces the goldens too, at
+// 1 and 4 threads (each run gets a fresh harness, so nothing is served
+// from its estimate cache).
+TEST(InferenceBatchTest, HarnessEstimatesReproduceGoldenAtOneAndFourThreads) {
+  const int saved_threads = CurrentThreads();
+  Fixture f = MakeFixture();
+  MscnEstimator mscn(SmallMscnOptions());
+  ASSERT_TRUE(mscn.Train(f.table, f.workload).ok());
+  LwnnEstimator lwnn(SmallLwnnOptions());
+  ASSERT_TRUE(lwnn.Train(f.table, f.workload).ok());
+  NaruEstimator naru(SmallNaruConfig());
+  ASSERT_TRUE(naru.Train(f.table).ok());
+
+  Workload test;
+  for (const Query& q : GoldenQueries(f)) test.push_back({q, 0.0, 2000.0});
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetThreads(threads);
+    SingleTableHarness h(f.table, f.workload, f.workload, test, {});
+    const std::vector<double>& m = h.Estimates(mscn, h.test());
+    const std::vector<double>& l = h.Estimates(lwnn, h.test());
+    const std::vector<double>& n = h.Estimates(naru, h.test());
+    ASSERT_EQ(n[0], 2000.0);  // no predicates: N
+    for (size_t i = 0; i < test.size(); ++i) {
+      ASSERT_EQ(m[i], kGoldenMscn[i]) << "mscn query " << i;
+      ASSERT_EQ(l[i], kGoldenLwnn[i]) << "lw-nn query " << i;
+      if (i > 0) {
+        ASSERT_EQ(n[i], kGoldenSelectivity[i - 1] * 2000.0)
+            << "naru query " << i;
+      }
     }
-    mutable int calls = 0;
-  };
-
-  CountingEstimator est;
-  est.EstimateBatch(nullptr, 0, nullptr);
-  EXPECT_EQ(est.calls, 0);
-
-  const Query q{{Predicate::Between(0, 1.0, 2.0)}};
-  double out = 0.0;
-  est.EstimateBatch(&q, 1, &out);
-  EXPECT_EQ(est.calls, 1);
-  EXPECT_EQ(out, est.EstimateCardinality(q));
+  }
+  SetThreads(saved_threads);
 }
 
 // Kernel-level contract: the sparse one-hot forward and the

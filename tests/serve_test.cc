@@ -85,9 +85,9 @@ class GateEstimator : public CardinalityEstimator {
  public:
   explicit GateEstimator(bool open) : open_(open) {}
   std::string name() const override { return "gate"; }
-  double EstimateCardinality(const Query&) const override {
+  void EstimateBatch(const Query*, size_t n, double* out) const override {
     while (!open_.load(std::memory_order_acquire)) std::this_thread::yield();
-    return 42.0;
+    for (size_t i = 0; i < n; ++i) out[i] = 42.0;
   }
   void set_open(bool open) { open_.store(open, std::memory_order_release); }
 
@@ -98,8 +98,10 @@ class GateEstimator : public CardinalityEstimator {
 class FailingEstimator : public CardinalityEstimator {
  public:
   std::string name() const override { return "failing"; }
-  double EstimateCardinality(const Query&) const override {
-    return std::numeric_limits<double>::quiet_NaN();
+  void EstimateBatch(const Query*, size_t n, double* out) const override {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = std::numeric_limits<double>::quiet_NaN();
+    }
   }
 };
 

@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "nn/layers.h"
+#include "nn/mlp.h"
 #include "nn/tensor.h"
 
 namespace confcard {
@@ -161,6 +162,22 @@ TEST(SimdKernelTest, ApplyActivatedMatchesApplyThenRelu) {
     Tensor fused = dense.ApplyActivated(in, /*relu=*/true);
     Tensor staged = relu_layer.Apply(dense.Apply(in));
     ExpectBitIdentical(staged, fused, "fusion identity");
+  }
+}
+
+TEST(SimdKernelTest, MlpApplyFusedMatchesScalarApply) {
+  // The estimators' batched forward (ApplyFused) against the plain layer
+  // chain on scalar kernels, through two hidden layers whose widths
+  // leave lane tails.
+  SimdRestorer restore;
+  Rng rng(7890);
+  Mlp mlp({13, 19, 11, 3}, rng);
+  Tensor in = RandomTensor(7, 13, 0.2, rng);
+  SetSimdEnabled(false);
+  const Tensor ref = mlp.Apply(in);
+  for (bool simd : {false, true}) {
+    SetSimdEnabled(simd);
+    ExpectBitIdentical(ref, mlp.ApplyFused(in), "Mlp::ApplyFused");
   }
 }
 

@@ -6,12 +6,15 @@
 # profiler: SIGPROF handler + lock-free rings under an oversubscribed
 # hammer), and serve-smoke (serving front-end: MPMC queue hammer,
 # micro-batcher/shard pipeline, lock-free circuit breaker, plus the
-# bench_serving smoke with its bit-identity and zero-alloc gates), and
+# bench_serving smoke with its bit-identity and zero-alloc gates),
 # drift-smoke (the self-healing loop: feedback rings, sliding-window
 # recalibration, staged-degradation transitions, plus the bench_drift
-# smoke with its replay and zero-alloc gates). A clean exit means the
-# sanitizer saw no races (tsan) or memory errors (asan) in the hot-path
-# record/merge/sample/serve code.
+# smoke with its replay and zero-alloc gates), and fault-smoke (the
+# fault registry, the guard's batched attempt 0 and per-query ladder,
+# plus the bench_faults sweep, which drives the guard with faults armed
+# from a ParallelFor). A clean exit means the sanitizer saw no races
+# (tsan) or memory errors (asan) in the hot-path
+# record/merge/sample/serve/guard code.
 #
 # Usage: tools/run_tsan_obs.sh [preset]   (default: tsan)
 #
