@@ -24,14 +24,14 @@
 // The artifact leads with a `config` block (drift grammar, seeds,
 // feedback configuration) so every run is attributable and replayable.
 //
-// Env knobs: CONFCARD_SERVE_SHARDS (sweep shard count),
-// CONFCARD_SERVE_BATCH, CONFCARD_SERVE_TIMEOUT_US, CONFCARD_DRIFT
-// (overrides the severity-1 scenario's spec).
+// The sweep serves one shard with the front-end's default batching
+// (B = 32, T = 200 us). Rolling coverage is over answered responses
+// only: a shed request's [0, N] placeholder is not an answer.
+// CONFCARD_DRIFT overrides the severity-1 scenario's spec.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <memory>
@@ -171,7 +171,7 @@ Stack BuildStack(const Table& pre_table, int shards) {
 }
 
 ServeFrontEnd::Options FrontOptions(bool feedback, size_t feedback_capacity) {
-  ServeFrontEnd::Options o = ServeFrontEnd::Options::FromEnv();
+  ServeFrontEnd::Options o;
   o.feedback = feedback;
   o.feedback_capacity = feedback_capacity;
   return o;
@@ -236,28 +236,42 @@ struct Trajectory {
   double shed_fraction = 0.0;
 };
 
+// Coverage over the last kRollingWindow answered responses; shed
+// responses are skipped, so their [0, N] placeholders never count.
+class RollingCoverage {
+ public:
+  void Add(const Rec& rec, double truth) {
+    if (rec.shed) return;
+    const int covered = (rec.lo <= truth && truth <= rec.hi) ? 1 : 0;
+    window_.push_back(covered);
+    sum_ += covered;
+    if (window_.size() > kRollingWindow) {
+      sum_ -= window_.front();
+      window_.pop_front();
+    }
+  }
+  bool empty() const { return window_.empty(); }
+  double value() const {
+    return window_.empty() ? 0.0
+                           : sum_ / static_cast<double>(window_.size());
+  }
+
+ private:
+  std::deque<int> window_;
+  double sum_ = 0.0;
+};
+
 Trajectory Analyze(const std::vector<Rec>& recs, const Workload& stream,
                    size_t onset_index) {
   Trajectory t;
-  std::deque<int> window;
-  double sum = 0.0;
+  RollingCoverage rolling;
   size_t shed = 0;
-  double rolling = 0.0;
   for (size_t i = 0; i < recs.size(); ++i) {
-    const double truth = stream[i].cardinality;
-    const int covered =
-        (recs[i].lo <= truth && truth <= recs[i].hi) ? 1 : 0;
-    window.push_back(covered);
-    sum += covered;
-    if (window.size() > kRollingWindow) {
-      sum -= window.front();
-      window.pop_front();
-    }
-    rolling = sum / static_cast<double>(window.size());
-    if (i + 1 == onset_index) t.pre_coverage = rolling;
-    if (i >= onset_index) {
-      if (rolling < t.dip) {
-        t.dip = rolling;
+    rolling.Add(recs[i], stream[i].cardinality);
+    if (i + 1 == onset_index) t.pre_coverage = rolling.value();
+    if (i >= onset_index && !rolling.empty()) {
+      if (rolling.value() < t.dip) {
+        t.dip = rolling.value();
         t.dip_index = i;
       }
     }
@@ -267,25 +281,16 @@ Trajectory Analyze(const std::vector<Rec>& recs, const Workload& stream,
   // Recovery: first index after the dip where the rolling window has
   // fully turned over since the dip AND coverage is back within 1pp of
   // nominal (a window still dominated by pre-dip hits is not recovery).
-  std::deque<int> rewindow;
-  double resum = 0.0;
+  RollingCoverage rewindow;
   for (size_t i = 0; i < recs.size(); ++i) {
-    const double truth = stream[i].cardinality;
-    const int covered =
-        (recs[i].lo <= truth && truth <= recs[i].hi) ? 1 : 0;
-    rewindow.push_back(covered);
-    resum += covered;
-    if (rewindow.size() > kRollingWindow) {
-      resum -= rewindow.front();
-      rewindow.pop_front();
-    }
+    rewindow.Add(recs[i], stream[i].cardinality);
     if (t.recovery_queries < 0 && i >= t.dip_index + kRollingWindow &&
-        resum / static_cast<double>(rewindow.size()) >=
-            kNominal - kRecoveredWithin) {
+        !rewindow.empty() &&
+        rewindow.value() >= kNominal - kRecoveredWithin) {
       t.recovery_queries = static_cast<long>(i - onset_index);
     }
   }
-  t.final_coverage = rolling;
+  t.final_coverage = rolling.value();
   t.shed_fraction = recs.empty() ? 0.0
                                  : static_cast<double>(shed) /
                                        static_cast<double>(recs.size());
@@ -443,11 +448,10 @@ void WriteTrajectory(obs::JsonWriter* w, const Trajectory& t) {
 
 int Main() {
   bench::PrintScaleNote();
-  const int shards = serve::ShardsFromEnv();
-  const ServeFrontEnd::Options opts = ServeFrontEnd::Options::FromEnv();
+  const ServeFrontEnd::Options opts;
   const size_t stream_len = bench::Scaled(6000, 900);
   const double severities[] = {0.3, 0.6, 1.0};
-  std::printf("shards=%d  B=%d  T=%dus  stream=%zu\n", shards, opts.max_batch,
+  std::printf("shards=1  B=%d  T=%dus  stream=%zu\n", opts.max_batch,
               opts.flush_timeout_us, stream_len);
 
   std::vector<Scenario> scenarios;
@@ -456,7 +460,7 @@ int Main() {
   }
   // All scenarios share the base spec, so the pre-drift table (and the
   // stack trained on it) is common.
-  Stack stack = BuildStack(scenarios[0].stream.pre_table, shards);
+  Stack stack = BuildStack(scenarios[0].stream.pre_table, /*shards=*/1);
 
   // ---- gate 2: zero-alloc serve+feedback hot path (pre-drift segment).
   const AllocResult allocs =
@@ -547,7 +551,7 @@ int Main() {
   w.Key("bench").String("drift");
   w.Key("config").BeginObject();
   w.Key("scale").Number(bench::BenchScale());
-  w.Key("shards").Int(static_cast<uint64_t>(shards));
+  w.Key("shards").Int(1);
   w.Key("max_batch").Int(static_cast<uint64_t>(opts.max_batch));
   w.Key("flush_timeout_us").Int(static_cast<uint64_t>(opts.flush_timeout_us));
   w.Key("alpha").Number(kAlpha);

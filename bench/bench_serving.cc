@@ -13,24 +13,22 @@
 //      from a closed-loop capacity probe, recording throughput,
 //      p50/p99/p999 latency, batch-size histogram, shed/degraded
 //      fractions, and empirical interval coverage per level; the
-//      highest rate meeting the p99 SLO (CONFCARD_SERVE_SLO_US) with
-//      <= 1% shed is reported as max sustainable QPS. On hosts without
-//      enough cores to run producer and workers concurrently the
-//      sustainability gate is skipped with an explicit skip_reason.
+//      highest rate meeting the p99 SLO (kSloP99Us) with <= 1% shed is
+//      reported as max sustainable QPS. On hosts without enough cores
+//      to run producer and workers concurrently the sustainability gate
+//      is skipped with an explicit skip_reason.
 //
-// The arrival schedule is a seeded exponential stream, and everything
-// the gates check (estimates, intervals, coverage) is deterministic for
-// a fixed seed and shard count; wall-clock-derived numbers (latency,
-// throughput) are reported but never gated.
-//
-// Env knobs: CONFCARD_SERVE_SHARDS, CONFCARD_SERVE_BATCH,
-// CONFCARD_SERVE_TIMEOUT_US (front-end, see docs/SERVING.md), and
-// CONFCARD_SERVE_SLO_US (p99 SLO for sustainability, default 20000).
+// The front-end runs its default options (one shard, B = 32, T = 200
+// us). The arrival schedule is a seeded exponential stream, and
+// everything the gates check (estimates, intervals, coverage) is
+// deterministic for a fixed seed; wall-clock-derived numbers (latency,
+// throughput) are reported but never gated. Coverage and the degraded
+// fraction count answered requests only: a shed request's [0, N]
+// placeholder is not an answer.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <iterator>
@@ -59,14 +57,8 @@ using serve::Admit;
 using serve::Request;
 using serve::ServeFrontEnd;
 
-int ReadIntEnv(const char* name, int fallback, int lo, int hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp<long>(v, lo, hi));
-}
+// p99 latency SLO of the max-sustainable-QPS search.
+constexpr int kSloP99Us = 20000;
 
 double Percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;
@@ -77,33 +69,26 @@ double Percentile(std::vector<double> values, double q) {
   return values[std::max<size_t>(idx, 0)];
 }
 
-// The serving stack under test: identically-trained per-shard replicas
-// (same options + deterministic training = interchangeable models), one
-// guard each, and a conformal predictor calibrated on the healthy
-// batched estimates of the calibration split.
+// The serving stack under test: one trained model, its guard, and a
+// conformal predictor calibrated on the batched estimates of the
+// calibration split.
 struct Stack {
   Table table;
   bench::Splits splits;
-  std::vector<std::unique_ptr<LwnnEstimator>> replicas;
-  std::vector<std::unique_ptr<GuardedEstimator>> guards;
-  std::vector<const GuardedEstimator*> shard_guards;
+  std::unique_ptr<LwnnEstimator> model;
+  std::unique_ptr<GuardedEstimator> guard;
   std::unique_ptr<SplitConformal> scp;
   double num_rows = 0.0;
 };
 
-Stack BuildStack(int shards) {
+Stack BuildStack() {
   // Aggregate init: Table has no default constructor.
   Stack s{MakeDmv(bench::DefaultRows(), 3).value()};
   s.splits = bench::MakeSplits(s.table);
   s.num_rows = static_cast<double>(s.table.num_rows());
-  for (int i = 0; i < shards; ++i) {
-    auto model = std::make_unique<LwnnEstimator>(bench::LwnnDefaults());
-    CONFCARD_CHECK(model->Train(s.table, s.splits.train).ok());
-    s.guards.push_back(
-        std::make_unique<GuardedEstimator>(*model, s.table));
-    s.shard_guards.push_back(s.guards.back().get());
-    s.replicas.push_back(std::move(model));
-  }
+  s.model = std::make_unique<LwnnEstimator>(bench::LwnnDefaults());
+  CONFCARD_CHECK(s.model->Train(s.table, s.splits.train).ok());
+  s.guard = std::make_unique<GuardedEstimator>(*s.model, s.table);
   std::vector<Query> calib_q;
   std::vector<double> truths;
   for (const LabeledQuery& lq : s.splits.calib) {
@@ -111,8 +96,7 @@ Stack BuildStack(int shards) {
     truths.push_back(lq.cardinality);
   }
   std::vector<double> estimates(calib_q.size());
-  s.replicas[0]->EstimateBatch(calib_q.data(), calib_q.size(),
-                               estimates.data());
+  s.model->EstimateBatch(calib_q.data(), calib_q.size(), estimates.data());
   s.scp = std::make_unique<SplitConformal>(MakeScoring(ScoreKind::kQError),
                                            0.1);
   CONFCARD_CHECK(s.scp->Calibrate(estimates, truths).ok());
@@ -138,10 +122,9 @@ IdentityResult CheckBitIdentity(const Stack& s, ServeFrontEnd* front) {
   for (Request& r : requests) r.Wait();
 
   bool passed = true;
-  const GuardedEstimator& guard0 = *s.shard_guards[0];
   for (size_t i = 0; i < n; ++i) {
     const GuardedEstimate offline =
-        guard0.EstimateGuarded(s.splits.test[i].query);
+        s.guard->EstimateGuarded(s.splits.test[i].query);
     const Interval iv =
         ClipToCardinality(s.scp->Predict(offline.value), s.num_rows);
     const serve::Response& resp = requests[i].response;
@@ -262,20 +245,18 @@ struct LoadLevel {
   double p999_us = 0.0;
   std::vector<uint64_t> batch_counts;
 
-  double shed_fraction() const {
-    return requests == 0
-               ? 0.0
-               : static_cast<double>(shed) / static_cast<double>(requests);
-  }
+  double shed_fraction() const { return Fraction(shed, requests); }
+  // Over answered requests only: a shed request's [0, N] placeholder
+  // would count as covered and (being flagged degraded) as degraded.
   double degraded_fraction() const {
-    return requests == 0
-               ? 0.0
-               : static_cast<double>(degraded) / static_cast<double>(requests);
+    return Fraction(degraded, requests - shed);
   }
-  double coverage() const {
-    return requests == 0
+  double coverage() const { return Fraction(covered, requests - shed); }
+
+  static double Fraction(size_t part, size_t whole) {
+    return whole == 0
                ? 0.0
-               : static_cast<double>(covered) / static_cast<double>(requests);
+               : static_cast<double>(part) / static_cast<double>(whole);
   }
 };
 
@@ -316,9 +297,9 @@ LoadLevel RunOpenLoopLevel(const Stack& s, ServeFrontEnd* front,
     const serve::Response& resp = requests[i].response;
     if (resp.shed) {
       ++level.shed;
-    } else {
-      latencies.push_back(resp.total_us);
+      continue;
     }
+    latencies.push_back(resp.total_us);
     if (resp.degraded) ++level.degraded;
     const double truth = s.splits.test[i % s.splits.test.size()].cardinality;
     if (resp.lo <= truth && truth <= resp.hi) ++level.covered;
@@ -364,17 +345,14 @@ void WriteLevel(obs::JsonWriter* w, const LoadLevel& level) {
 int Main() {
   bench::PrintScaleNote();
   const int hardware_threads = HardwareThreads();
-  const int shards = serve::ShardsFromEnv();
-  ServeFrontEnd::Options options = ServeFrontEnd::Options::FromEnv();
-  const int slo_p99_us = ReadIntEnv("CONFCARD_SERVE_SLO_US", 20000, 100,
-                                    60000000);
+  const ServeFrontEnd::Options options;
   std::printf(
-      "hardware threads: %d  shards=%d  B=%d  T=%dus  SLO p99<=%dus\n",
-      hardware_threads, shards, options.max_batch, options.flush_timeout_us,
-      slo_p99_us);
+      "hardware threads: %d  shards=1  B=%d  T=%dus  SLO p99<=%dus\n",
+      hardware_threads, options.max_batch, options.flush_timeout_us,
+      kSloP99Us);
 
-  Stack stack = BuildStack(shards);
-  ServeFrontEnd front(stack.shard_guards, *stack.scp, stack.num_rows,
+  Stack stack = BuildStack();
+  ServeFrontEnd front({stack.guard.get()}, *stack.scp, stack.num_rows,
                       options);
 
   const IdentityResult identity = CheckBitIdentity(stack, &front);
@@ -400,7 +378,7 @@ int Main() {
   const bool slo_applicable = hardware_threads >= 2;
   double max_sustainable_qps = 0.0;
   for (const LoadLevel& level : levels) {
-    if (level.p99_us <= static_cast<double>(slo_p99_us) &&
+    if (level.p99_us <= static_cast<double>(kSloP99Us) &&
         level.shed_fraction() <= 0.01) {
       max_sustainable_qps = std::max(max_sustainable_qps, level.offered_qps);
     }
@@ -414,7 +392,7 @@ int Main() {
     std::printf("sustainability gate skipped: %s\n", skip_reason.c_str());
   } else {
     std::printf("max sustainable: %.0f qps at p99 <= %dus\n",
-                max_sustainable_qps, slo_p99_us);
+                max_sustainable_qps, kSloP99Us);
   }
 
   obs::JsonWriter w;
@@ -422,7 +400,7 @@ int Main() {
   w.Key("bench").String("serving");
   w.Key("hardware_threads").Int(static_cast<uint64_t>(hardware_threads));
   w.Key("scale").Number(bench::BenchScale());
-  w.Key("shards").Int(static_cast<uint64_t>(shards));
+  w.Key("shards").Int(1);
   w.Key("max_batch").Int(static_cast<uint64_t>(options.max_batch));
   w.Key("flush_timeout_us").Int(static_cast<uint64_t>(options.flush_timeout_us));
   w.Key("queue_capacity").Int(static_cast<uint64_t>(options.queue_capacity));
@@ -434,7 +412,7 @@ int Main() {
   w.Key("rate_fractions").BeginArray();
   for (const double f : fractions) w.Number(f);
   w.EndArray();
-  w.Key("slo_p99_us").Int(static_cast<uint64_t>(slo_p99_us));
+  w.Key("slo_p99_us").Int(kSloP99Us);
   w.Key("drift_spec").String(drift::RenderDriftSpecs(drift::DriftSpecsFromEnv()));
   w.Key("feedback").BeginObject();
   w.Key("enabled").Bool(options.feedback);
@@ -466,7 +444,7 @@ int Main() {
   w.EndArray();
   w.Key("sustainable").BeginObject();
   w.Key("applicable").Bool(slo_applicable);
-  w.Key("slo_p99_us").Int(static_cast<uint64_t>(slo_p99_us));
+  w.Key("slo_p99_us").Int(kSloP99Us);
   w.Key("max_sustainable_qps").Number(max_sustainable_qps);
   w.Key("skip_reason").String(skip_reason);  // empty when the gate ran
   w.EndObject();

@@ -118,10 +118,6 @@ Registry& Registry::Instance() {
 }
 
 Registry::Registry() {
-  if (const char* slow = std::getenv("CONFCARD_FAULT_SLOW_US");
-      slow != nullptr && slow[0] != '\0') {
-    slow_micros_ = static_cast<uint64_t>(std::strtoull(slow, nullptr, 10));
-  }
   const char* spec = std::getenv("CONFCARD_FAULTS");
   if (spec == nullptr || spec[0] == '\0') return;
   const Status st = ConfigureFromString(spec);

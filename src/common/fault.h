@@ -12,7 +12,7 @@
 // <kind> is one of
 //   nan   — corrupt a produced value to quiet NaN
 //   fail  — produce a negative sentinel value / an Internal error Status
-//   slow  — sleep CONFCARD_FAULT_SLOW_US microseconds (default 5000)
+//   slow  — sleep slow_micros() microseconds (default 5000)
 // and <rate> is an injection probability in [0, 1].
 //
 // Determinism: whether a fault fires at a site is a pure function of

@@ -139,13 +139,4 @@ Interval ClipCounter::Clip(Interval iv, double num_rows) {
   return out;
 }
 
-Interval ClipCounter::ClipNonNegative(Interval iv) {
-  total_.Increment();
-  if (iv.lo < 0.0) {
-    iv.lo = 0.0;
-    clipped_.Increment();
-  }
-  return iv;
-}
-
 }  // namespace confcard

@@ -116,17 +116,16 @@ class InferTimer {
 };
 
 /// Interval clipping with per-method accounting: behaves like
-/// ClipToCardinality (or the joins' lower-bound-only clip) and bumps
-/// "conformal.clip.<method>" whenever clipping moved a bound, plus the
-/// matching ".total" counter per interval seen.
+/// ClipToCardinality and bumps "conformal.clip.<method>" whenever
+/// clipping moved a bound, plus the matching ".total" counter per
+/// interval seen.
 class ClipCounter {
  public:
   explicit ClipCounter(const std::string& method);
 
-  /// ClipToCardinality(iv, num_rows), counted.
+  /// ClipToCardinality(iv, num_rows), counted. Join cardinalities have
+  /// no table-size cap: num_rows = +infinity clips at zero only.
   Interval Clip(Interval iv, double num_rows);
-  /// max(lo, 0) only — join cardinalities have no table-size cap.
-  Interval ClipNonNegative(Interval iv);
 
  private:
   obs::Counter& clipped_;

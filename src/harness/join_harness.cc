@@ -2,20 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <optional>
+#include <limits>
 #include <string>
 
-#include "common/check.h"
-#include "common/parallel.h"
-#include "common/stats.h"
-#include "common/stopwatch.h"
-#include "conformal/cqr.h"
-#include "conformal/jackknife.h"
-#include "conformal/locally_weighted.h"
-#include "conformal/split.h"
 #include "conformal/validate.h"
-#include "obs/metrics.h"
 
 namespace confcard {
 namespace {
@@ -23,7 +13,7 @@ namespace {
 // FNV-1a over the join-workload content (tables, join edges, scoped
 // predicates, labels) — cache identity for workloads the harness does
 // not own. Mirrors the single-table HashWorkload.
-uint64_t HashJoinWorkload(const JoinWorkload& workload) {
+uint64_t HashWorkload(const JoinWorkload& workload) {
   uint64_t h = 0xcbf29ce484222325ull;
   auto mix = [&h](uint64_t v) {
     h ^= v;
@@ -61,20 +51,31 @@ uint64_t HashJoinWorkload(const JoinWorkload& workload) {
   return h;
 }
 
+// Normalizer for interval widths: the largest fact-side table size in
+// the test split.
+double Normalizer(const JoinWorkload& test) {
+  double max_card = 1.0;
+  for (const LabeledJoinQuery& lq : test) {
+    max_card = std::max(max_card, lq.num_rows);
+  }
+  return max_card;
+}
+
 }  // namespace
 
 JoinHarness::JoinHarness(const Database& db, JoinWorkload train,
                          JoinWorkload calib, JoinWorkload test,
                          Options options)
-    : db_(&db),
-      train_(std::move(train)),
-      calib_(std::move(calib)),
-      test_(std::move(test)),
-      options_(options),
-      scoring_(MakeScoring(options.score)) {
-  CONFCARD_CHECK(!calib_.empty());
-  CONFCARD_CHECK(!test_.empty());
-}
+    : PiHarness(
+          db, std::move(train), std::move(calib), std::move(test), options,
+          {.clip_bound = std::numeric_limits<double>::infinity(),
+           .normalizer = Normalizer(test),
+           .span_prefix = "harness.join.",
+           .flat_features =
+               [](const MscnJoinEstimator& model, const JoinQuery& query) {
+                 return model.FlatFeatures(query);
+               },
+           .hash = &HashWorkload}) {}
 
 Result<JoinHarness> JoinHarness::Make(const Database& db, JoinWorkload train,
                                       JoinWorkload calib, JoinWorkload test,
@@ -89,291 +90,6 @@ Result<JoinHarness> JoinHarness::Make(const Database& db, JoinWorkload train,
   }
   return JoinHarness(db, std::move(train), std::move(calib), std::move(test),
                      options);
-}
-
-const std::vector<double>& JoinHarness::Estimates(
-    const MscnJoinEstimator& model, const JoinWorkload& wl) const {
-  int slot = 3;
-  uint64_t content_hash = 0;
-  if (&wl == &train_) {
-    slot = 0;
-  } else if (&wl == &calib_) {
-    slot = 1;
-  } else if (&wl == &test_) {
-    slot = 2;
-  } else {
-    content_hash = HashJoinWorkload(wl);
-  }
-  const auto key = std::make_tuple(model.instance_id(), slot, content_hash);
-  static obs::Counter& hits =
-      obs::Metrics().GetCounter("ce.infer.cache_hits");
-  static obs::Counter& misses =
-      obs::Metrics().GetCounter("ce.infer.cache_misses");
-  auto it = estimate_cache_.find(key);
-  if (it != estimate_cache_.end()) {
-    hits.Increment();
-    return it->second;
-  }
-  misses.Increment();
-  // Chunks fan out across the pool into pre-sized slots; each chunk runs
-  // one batched forward. Inference is const and cache-free, so order and
-  // values are scheduling-independent.
-  std::vector<JoinQuery> queries(wl.size());
-  for (size_t i = 0; i < wl.size(); ++i) queries[i] = wl[i].query;
-  std::vector<double> out(wl.size());
-  Stopwatch watch;
-  // Detail-only sweep span (see single_table.cc): visible on trace
-  // timelines and attributing CPU samples when the profiler is armed.
-  std::optional<obs::TraceSpan> sweep_span;
-  if (obs::DetailSpansEnabled()) {
-    sweep_span.emplace("infer.batch");
-    sweep_span->SetAttr("queries", static_cast<double>(wl.size()));
-  }
-  ParallelFor(wl.size(), 0, [&](size_t begin, size_t end) {
-    std::optional<obs::TraceSpan> chunk_span;
-    if (obs::DetailSpansEnabled()) {
-      chunk_span.emplace("infer.batch.chunk");
-      chunk_span->SetAttr("begin", static_cast<double>(begin));
-      chunk_span->SetAttr("n", static_cast<double>(end - begin));
-    }
-    model.EstimateBatch(queries.data() + begin, end - begin,
-                        out.data() + begin);
-  });
-  const double elapsed_us = watch.ElapsedMicros();
-  if (elapsed_us > 0.0 && !wl.empty()) {
-    obs::Metrics()
-        .GetGauge("ce.infer.batch_queries_per_sec")
-        .Set(static_cast<double>(wl.size()) * 1e6 / elapsed_us);
-  }
-  return estimate_cache_.emplace(key, std::move(out)).first->second;
-}
-
-std::vector<double> JoinHarness::Truths(const JoinWorkload& wl) const {
-  std::vector<double> out;
-  out.reserve(wl.size());
-  for (const LabeledJoinQuery& lq : wl) out.push_back(lq.cardinality);
-  return out;
-}
-
-double JoinHarness::Normalizer() const {
-  double max_card = 1.0;
-  for (const LabeledJoinQuery& lq : test_) {
-    max_card = std::max(max_card, lq.num_rows);
-  }
-  return max_card;
-}
-
-MethodResult JoinHarness::RunScp(const MscnJoinEstimator& model) const {
-  MethodResult result;
-  result.model = model.name();
-  result.method = "s-cp";
-  result.alpha = options_.alpha;
-
-  obs::TraceSpan span("harness.join.s-cp");
-  SplitConformal scp(scoring_, options_.alpha);
-  {
-    PrepTimer prep(&result);
-    CONFCARD_CHECK(scp.Calibrate(Estimates(model, calib_), Truths(calib_))
-                       .ok());
-  }
-
-  std::vector<double> test_est = Estimates(model, test_);
-  const double norm = Normalizer();
-  ClipCounter clip(result.method);
-  {
-    InferTimer infer(&result, test_.size());
-    EventClock clock;
-    for (size_t i = 0; i < test_.size(); ++i) {
-      const double t0 = clock.NowUs();
-      Interval iv = clip.ClipNonNegative(scp.Predict(test_est[i]));
-      result.rows.push_back({test_[i].cardinality, test_est[i], iv.lo,
-                             iv.hi, clock.NowUs() - t0});
-    }
-  }
-  FinalizeMethodResult(&result, norm);
-  return result;
-}
-
-MethodResult JoinHarness::RunLwScp(const MscnJoinEstimator& model) const {
-  MethodResult result;
-  result.model = model.name();
-  result.method = "lw-s-cp";
-  result.alpha = options_.alpha;
-
-  auto features = [&](const JoinWorkload& wl) {
-    std::vector<std::vector<float>> out(wl.size());
-    ParallelFor(wl.size(), 0, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        out[i] = model.FlatFeatures(wl[i].query);
-      }
-    });
-    return out;
-  };
-
-  obs::TraceSpan span("harness.join.lw-s-cp");
-  LocallyWeightedConformal::Options opts;
-  opts.alpha = options_.alpha;
-  opts.gbdt = options_.gbdt;
-  LocallyWeightedConformal lw(opts);
-  {
-    PrepTimer prep(&result);
-    CONFCARD_CHECK(lw.FitDifficulty(features(train_),
-                                    Estimates(model, train_),
-                                    Truths(train_))
-                       .ok());
-    CONFCARD_CHECK(
-        lw.Calibrate(features(calib_), Estimates(model, calib_),
-                     Truths(calib_))
-            .ok());
-  }
-
-  std::vector<double> test_est = Estimates(model, test_);
-  std::vector<std::vector<float>> test_feat = features(test_);
-  const double norm = Normalizer();
-  ClipCounter clip(result.method);
-  {
-    InferTimer infer(&result, test_.size());
-    EventClock clock;
-    for (size_t i = 0; i < test_.size(); ++i) {
-      const double t0 = clock.NowUs();
-      Interval iv =
-          clip.ClipNonNegative(lw.Predict(test_est[i], test_feat[i]));
-      result.rows.push_back({test_[i].cardinality, test_est[i], iv.lo,
-                             iv.hi, clock.NowUs() - t0});
-    }
-  }
-  FinalizeMethodResult(&result, norm);
-  return result;
-}
-
-MethodResult JoinHarness::RunCqr(const MscnJoinEstimator& prototype) const {
-  MethodResult result;
-  result.model = prototype.name();
-  result.method = "cqr";
-  result.alpha = options_.alpha;
-
-  obs::TraceSpan span("harness.join.cqr");
-  ConformalizedQuantileRegression cqr(options_.alpha);
-  std::unique_ptr<MscnJoinEstimator> lo_model, hi_model;
-  {
-    PrepTimer prep(&result);
-    lo_model = prototype.CloneArchitecture(2101);
-    lo_model->SetLoss(LossSpec::Pinball(cqr.lower_tau()));
-    hi_model = prototype.CloneArchitecture(2203);
-    hi_model->SetLoss(LossSpec::Pinball(cqr.upper_tau()));
-    // Quantile heads train concurrently; the upper head trains last in a
-    // serial run, so its telemetry is republished after the join.
-    MscnJoinEstimator* heads[2] = {lo_model.get(), hi_model.get()};
-    ParallelFor(2, 1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        CONFCARD_CHECK(heads[i]->Train(*db_, train_).ok());
-      }
-    });
-    hi_model->RepublishTrainingTelemetry();
-    CONFCARD_CHECK(cqr.Calibrate(Estimates(*lo_model, calib_),
-                                 Estimates(*hi_model, calib_),
-                                 Truths(calib_))
-                       .ok());
-  }
-
-  std::vector<double> lo_test = Estimates(*lo_model, test_);
-  std::vector<double> hi_test = Estimates(*hi_model, test_);
-  const double norm = Normalizer();
-  ClipCounter clip(result.method);
-  {
-    InferTimer infer(&result, test_.size());
-    EventClock clock;
-    for (size_t i = 0; i < test_.size(); ++i) {
-      const double t0 = clock.NowUs();
-      Interval iv = clip.ClipNonNegative(cqr.Predict(lo_test[i], hi_test[i]));
-      const double center = 0.5 * (lo_test[i] + hi_test[i]);
-      result.rows.push_back({test_[i].cardinality, center, iv.lo, iv.hi,
-                             clock.NowUs() - t0});
-    }
-  }
-  FinalizeMethodResult(&result, norm);
-  return result;
-}
-
-MethodResult JoinHarness::RunJkCv(const MscnJoinEstimator& prototype,
-                                  const MscnJoinEstimator& full_model) const {
-  MethodResult result;
-  result.model = full_model.name();
-  result.method = "jk-cv+";
-  result.alpha = options_.alpha;
-
-  JoinWorkload all = train_;
-  all.insert(all.end(), calib_.begin(), calib_.end());
-  const int k = options_.jk_folds;
-
-  obs::TraceSpan span("harness.join.jk-cv+");
-  std::vector<std::unique_ptr<MscnJoinEstimator>> fold_models;
-  JackknifeCvPlus jk(scoring_, options_.alpha);
-  {
-    PrepTimer prep(&result);
-    std::vector<int> fold_of = AssignFolds(all.size(), k, options_.seed);
-    // Fold models train concurrently (clones created serially for
-    // deterministic instance ids; each fold seeded by 3000 + f).
-    fold_models.reserve(static_cast<size_t>(k));
-    for (int f = 0; f < k; ++f) {
-      fold_models.push_back(
-          prototype.CloneArchitecture(3000 + static_cast<uint64_t>(f)));
-    }
-    ParallelFor(static_cast<size_t>(k), 1, [&](size_t begin, size_t end) {
-      for (size_t f = begin; f < end; ++f) {
-        // Detail-only per-fold span (see single_table.cc).
-        std::optional<obs::TraceSpan> fold_span;
-        if (obs::DetailSpansEnabled()) {
-          fold_span.emplace("fold.train");
-          fold_span->SetAttr("fold", static_cast<double>(f));
-        }
-        JoinWorkload fold_train;
-        fold_train.reserve(all.size());
-        for (size_t i = 0; i < all.size(); ++i) {
-          if (fold_of[i] != static_cast<int>(f)) fold_train.push_back(all[i]);
-        }
-        CONFCARD_CHECK(fold_models[f]->Train(*db_, fold_train).ok());
-      }
-    });
-    // A serial run trains fold k-1 last; restore its telemetry.
-    fold_models.back()->RepublishTrainingTelemetry();
-    std::vector<double> oof(all.size()), truths(all.size());
-    ParallelFor(all.size(), 0, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        oof[i] = fold_models[static_cast<size_t>(fold_of[i])]
-                     ->EstimateCardinality(all[i].query);
-        truths[i] = all[i].cardinality;
-      }
-    });
-    CONFCARD_CHECK(jk.Calibrate(oof, truths, fold_of, k).ok());
-  }
-
-  std::vector<double> full_est = Estimates(full_model, test_);
-  const double norm = Normalizer();
-  ClipCounter clip(result.method);
-  {
-    InferTimer infer(&result, test_.size());
-    EventClock clock;
-    // Each test query runs all K fold models; queries fan out with one
-    // scratch fold_est per chunk, writing rows into pre-sized slots.
-    result.rows.resize(test_.size());
-    ParallelFor(test_.size(), 0, [&](size_t begin, size_t end) {
-      std::vector<double> fold_est(static_cast<size_t>(k));
-      for (size_t i = begin; i < end; ++i) {
-        const double t0 = clock.NowUs();
-        for (int f = 0; f < k; ++f) {
-          fold_est[static_cast<size_t>(f)] =
-              fold_models[static_cast<size_t>(f)]->EstimateCardinality(
-                  test_[i].query);
-        }
-        Interval iv = clip.ClipNonNegative(jk.Predict(fold_est, full_est[i]));
-        result.rows[i] = {test_[i].cardinality, full_est[i], iv.lo, iv.hi,
-                          clock.NowUs() - t0};
-      }
-    });
-  }
-  FinalizeMethodResult(&result, norm);
-  return result;
 }
 
 }  // namespace confcard

@@ -1,26 +1,27 @@
 // Join-workload counterpart of SingleTableHarness (Figures 3-4): wraps
 // an MSCN join estimator with the four PI methods over a labeled SPJ
 // workload. The PI algorithms are identical — they consume residuals —
-// which is precisely the paper's point about multi-table transparency.
+// which is precisely the paper's point about multi-table transparency,
+// so the runners are PiHarness's. Join cardinalities have no table-size
+// cap: intervals are clipped at zero only, and widths are normalized by
+// the largest fact-side table in the test split.
 #ifndef CONFCARD_HARNESS_JOIN_HARNESS_H_
 #define CONFCARD_HARNESS_JOIN_HARNESS_H_
 
-#include <map>
-#include <memory>
-#include <tuple>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "ce/mscn.h"
 #include "common/status.h"
 #include "conformal/scoring.h"
 #include "gbdt/gbdt.h"
 #include "harness/evaluation.h"
+#include "harness/pi_harness.h"
 
 namespace confcard {
 
 /// Join-experiment harness.
-class JoinHarness {
+class JoinHarness : public PiHarness<Database, MscnJoinEstimator,
+                                     MscnJoinEstimator, LabeledJoinQuery> {
  public:
   struct Options {
     double alpha = 0.1;
@@ -39,33 +40,6 @@ class JoinHarness {
   static Result<JoinHarness> Make(const Database& db, JoinWorkload train,
                                   JoinWorkload calib, JoinWorkload test,
                                   Options options);
-
-  MethodResult RunScp(const MscnJoinEstimator& model) const;
-  MethodResult RunLwScp(const MscnJoinEstimator& model) const;
-  MethodResult RunCqr(const MscnJoinEstimator& prototype) const;
-  MethodResult RunJkCv(const MscnJoinEstimator& prototype,
-                       const MscnJoinEstimator& full_model) const;
-
-  const JoinWorkload& test() const { return test_; }
-
- private:
-  /// Per-(model, workload) cached estimates (join inference runs K+2
-  /// times per JK experiment otherwise).
-  const std::vector<double>& Estimates(const MscnJoinEstimator& model,
-                                       const JoinWorkload& wl) const;
-  std::vector<double> Truths(const JoinWorkload& wl) const;
-  /// Normalizer for interval widths: the fact-side table size.
-  double Normalizer() const;
-
-  const Database* db_;
-  JoinWorkload train_, calib_, test_;
-  Options options_;
-  std::shared_ptr<const ScoringFunction> scoring_;
-  // Keyed by (model instance id, workload slot, content hash) — see the
-  // single-table harness: member identity for the owned splits, content
-  // hash for anything else, never a raw caller address.
-  mutable std::map<std::tuple<uint64_t, int, uint64_t>, std::vector<double>>
-      estimate_cache_;
 };
 
 }  // namespace confcard

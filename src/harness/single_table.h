@@ -6,20 +6,15 @@
 #ifndef CONFCARD_HARNESS_SINGLE_TABLE_H_
 #define CONFCARD_HARNESS_SINGLE_TABLE_H_
 
-#include <map>
-#include <memory>
-#include <string>
-#include <tuple>
-#include <utility>
-#include <vector>
+#include <cstdint>
 
 #include "ce/estimator.h"
-#include "ce/featurizer.h"
 #include "ce/guarded.h"
 #include "common/status.h"
 #include "conformal/scoring.h"
 #include "gbdt/gbdt.h"
 #include "harness/evaluation.h"
+#include "harness/pi_harness.h"
 
 namespace confcard {
 
@@ -30,8 +25,12 @@ enum class DifficultySource {
   kPerturbation  // variance under small predicate perturbations
 };
 
-/// Single-table experiment harness.
-class SingleTableHarness {
+/// Single-table experiment harness. RunScp, RunCqr, RunJkCv and the
+/// estimate cache are the shared PiHarness runners; intervals are
+/// clipped to [0, N] and widths normalized by N.
+class SingleTableHarness
+    : public PiHarness<Table, CardinalityEstimator, SupervisedEstimator,
+                       LabeledQuery> {
  public:
   struct Options {
     double alpha = 0.1;
@@ -61,9 +60,6 @@ class SingleTableHarness {
                                          Workload calib, Workload test,
                                          Options options);
 
-  /// Split conformal prediction over the calibration split.
-  MethodResult RunScp(const CardinalityEstimator& model) const;
-
   /// S-CP through a guarded estimator. Calibrates on healthy calibration
   /// answers only; test queries the guard degraded get an interval
   /// inverted at delta * degraded_inflation and are flagged so
@@ -73,65 +69,25 @@ class SingleTableHarness {
   MethodResult RunScpGuarded(const GuardedEstimator& guard) const;
 
   /// Locally weighted S-CP; the difficulty model is fit on the training
-  /// split's residuals (kGbdtMad) or derived from `prototype` retrains
-  /// (kEnsemble) / query perturbations (kPerturbation). `prototype` may
-  /// be null for kGbdtMad and kPerturbation.
+  /// split's residuals (kGbdtMad, the shared PiHarness::RunLwScp) or
+  /// derived from `prototype` retrains (kEnsemble) / query perturbations
+  /// (kPerturbation). `prototype` may be null for kGbdtMad and
+  /// kPerturbation.
   MethodResult RunLwScp(
       const CardinalityEstimator& model,
       DifficultySource source = DifficultySource::kGbdtMad,
       const SupervisedEstimator* prototype = nullptr) const;
-
-  /// CQR: trains two pinball-loss clones of `prototype` on the training
-  /// split and conformalizes their band on the calibration split.
-  MethodResult RunCqr(const SupervisedEstimator& prototype) const;
-
-  /// JK+ with K-fold CV: retrains `prototype` on each fold complement of
-  /// the union train+calib (the method needs no separate calibration
-  /// split). `full_model` supplies the name and (in simplified mode) the
-  /// center estimate.
-  MethodResult RunJkCv(const SupervisedEstimator& prototype,
-                       const CardinalityEstimator& full_model,
-                       bool simplified = false) const;
 
   /// JK-CV+ for models with no trainable workload dependence (Naru):
   /// all folds share `model`; residuals still come from K-fold splits of
   /// train+calib, matching the paper's Naru setup.
   MethodResult RunJkCvFixedModel(const CardinalityEstimator& model) const;
 
-  const Table& table() const { return *table_; }
-  const Workload& train() const { return train_; }
-  const Workload& calib() const { return calib_; }
-  const Workload& test() const { return test_; }
+  const Table& table() const { return *data_; }
   const Options& options() const { return options_; }
 
-  /// Model estimates over a workload, cached per (model, workload) pair
-  /// so running several PI methods over the same trained model pays the
-  /// inference cost once (Naru inference dominates otherwise).
-  const std::vector<double>& Estimates(const CardinalityEstimator& model,
-                                       const Workload& workload) const;
-
  private:
-  std::vector<std::vector<float>> Features(const Workload& workload) const;
-  std::vector<double> Truths(const Workload& workload) const;
-  MethodResult MakeResult(const CardinalityEstimator& model,
-                          const std::string& method) const;
-
-  const Table* table_;
-  Workload train_, calib_, test_;
   Options options_;
-  std::shared_ptr<const ScoringFunction> scoring_;
-  std::unique_ptr<FlatQueryFeaturizer> featurizer_;
-  double num_rows_;
-  // Estimate cache keyed by (model instance id, workload slot, content
-  // hash). The instance id (not the model address) guards against
-  // stack/heap slots being reused by a successor model. The slot
-  // identifies the harness-owned splits (train/calib/test) by member —
-  // not by address, which a temporary or reused buffer could alias — and
-  // any other workload falls back to a content hash, so equal-content
-  // calls share an entry and a recycled address can never serve stale
-  // estimates.
-  mutable std::map<std::tuple<uint64_t, int, uint64_t>, std::vector<double>>
-      estimate_cache_;
 };
 
 }  // namespace confcard

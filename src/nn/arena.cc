@@ -1,7 +1,8 @@
 #include "nn/arena.h"
 
-#include <cstdlib>
-#include <cstring>
+// ASAN_(UN)POISON_MEMORY_REGION expand to nothing outside ASan builds.
+#include <sanitizer/asan_interface.h>
+
 #include <new>
 #include <unordered_map>
 #include <vector>
@@ -9,13 +10,6 @@
 namespace confcard {
 namespace nn {
 namespace {
-
-bool ResolveEnabled() {
-  const char* env = std::getenv("CONFCARD_ARENA");
-  if (env == nullptr) return true;
-  return !(std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-           std::strcmp(env, "false") == 0);
-}
 
 // One per thread. The alive flag guards against releases that arrive
 // during/after thread_local destruction (e.g. a static Tensor destroyed
@@ -40,7 +34,10 @@ struct ThreadCache {
 
   void FreeAll() noexcept {
     for (auto& [bytes, list] : free_lists) {
-      for (void* p : list) ::operator delete(p);
+      for (void* p : list) {
+        ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+        ::operator delete(p);
+      }
     }
     free_lists.clear();
     cached_bytes = 0;
@@ -56,11 +53,6 @@ ThreadCache* Get() {
 
 }  // namespace
 
-bool ArenaEnabled() {
-  static const bool enabled = ResolveEnabled();
-  return enabled;
-}
-
 void* ArenaAllocate(size_t bytes) {
   // Sub-minimum requests share one kArenaMinBytes size class instead of
   // bypassing to malloc: batched inference produces a sub-256B output
@@ -68,19 +60,18 @@ void* ArenaAllocate(size_t bytes) {
   // zero-alloc contract counts malloc's fast path all the same. The
   // round-up also means all small sizes hit one warm free-list.
   const size_t key = bytes < kArenaMinBytes ? kArenaMinBytes : bytes;
-  if (ArenaEnabled()) {
-    if (ThreadCache* cache = Get()) {
-      auto it = cache->free_lists.find(key);
-      if (it != cache->free_lists.end() && !it->second.empty()) {
-        void* p = it->second.back();
-        it->second.pop_back();
-        cache->cached_bytes -= key;
-        --cache->cached_buffers;
-        ++cache->hits;
-        return p;
-      }
-      ++cache->misses;
+  if (ThreadCache* cache = Get()) {
+    auto it = cache->free_lists.find(key);
+    if (it != cache->free_lists.end() && !it->second.empty()) {
+      void* p = it->second.back();
+      it->second.pop_back();
+      cache->cached_bytes -= key;
+      --cache->cached_buffers;
+      ++cache->hits;
+      ASAN_UNPOISON_MEMORY_REGION(p, key);
+      return p;
     }
+    ++cache->misses;
   }
   return ::operator new(key);
 }
@@ -88,15 +79,14 @@ void* ArenaAllocate(size_t bytes) {
 void ArenaRelease(void* ptr, size_t bytes) noexcept {
   if (ptr == nullptr) return;
   const size_t key = bytes < kArenaMinBytes ? kArenaMinBytes : bytes;
-  if (ArenaEnabled()) {
-    if (ThreadCache* cache = Get()) {
-      if (cache->cached_bytes + key <= kArenaMaxCachedBytes) {
-        cache->free_lists[key].push_back(ptr);
-        cache->cached_bytes += key;
-        ++cache->cached_buffers;
-        ++cache->recycled;
-        return;
-      }
+  if (ThreadCache* cache = Get()) {
+    if (cache->cached_bytes + key <= kArenaMaxCachedBytes) {
+      cache->free_lists[key].push_back(ptr);
+      cache->cached_bytes += key;
+      ++cache->cached_buffers;
+      ++cache->recycled;
+      ASAN_POISON_MEMORY_REGION(ptr, key);
+      return;
     }
   }
   ::operator delete(ptr);

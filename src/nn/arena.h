@@ -31,9 +31,10 @@
 //   * ArenaTrim() frees the calling thread's cache; the training epoch
 //     loops call it at epoch boundaries so memory parked in the cache
 //     never outlives the phase that shaped it.
-//   * CONFCARD_ARENA=off disables recycling (every call falls through
-//     to new/delete) — use under ASan, where recycling would mask
-//     use-after-free of tensor storage.
+//   * Under AddressSanitizer a parked buffer is poisoned until
+//     ArenaAllocate hands it out again or the cache frees it, so a
+//     use of tensor storage after its release is still reported (as
+//     use-after-poison rather than use-after-free).
 //
 // Values are unaffected by construction: the arena only changes WHERE
 // uninitialized storage comes from, never its contents' computation
@@ -61,17 +62,13 @@ void* ArenaAllocate(size_t bytes);
 /// Returns a buffer obtained from ArenaAllocate with the same `bytes`.
 /// Parks it in this thread's cache (for any thread — buffers may be
 /// released on a different thread than they were allocated on) or frees
-/// it when the cache is full, the arena is disabled, or the thread is
-/// shutting down.
+/// it when the cache is full or the thread is shutting down.
 void ArenaRelease(void* ptr, size_t bytes) noexcept;
 
 /// Frees everything parked in the CALLING thread's cache. Called at
 /// training epoch boundaries; safe anytime — outstanding buffers are
 /// unaffected, only idle ones are returned to the allocator.
 void ArenaTrim() noexcept;
-
-/// False when CONFCARD_ARENA=off/0/false disabled recycling.
-bool ArenaEnabled();
 
 /// Counters for the calling thread's cache (tests and benches).
 struct ArenaStats {

@@ -1,39 +1,21 @@
 #include "nn/simd.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace confcard {
 namespace nn {
 namespace {
 
-bool EnvDisablesSimd() {
-  const char* env = std::getenv("CONFCARD_SIMD");
-  if (env == nullptr) return false;
-  return std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-         std::strcmp(env, "false") == 0 || std::strcmp(env, "scalar") == 0;
-}
-
-// -1 = unresolved, 0 = scalar, 1 = vector. Resolved lazily so the env
-// var is honored no matter how early the first kernel runs.
-std::atomic<int> g_simd_enabled{-1};
+std::atomic<bool> g_simd_enabled{simd::kHaveNativeLanes};
 
 }  // namespace
 
 bool SimdCompiledIn() { return simd::kHaveNativeLanes; }
 
-bool SimdEnabled() {
-  int v = g_simd_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = (simd::kHaveNativeLanes && !EnvDisablesSimd()) ? 1 : 0;
-    g_simd_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
+bool SimdEnabled() { return g_simd_enabled.load(std::memory_order_relaxed); }
 
 void SetSimdEnabled(bool on) {
-  g_simd_enabled.store(on && simd::kHaveNativeLanes ? 1 : 0,
+  g_simd_enabled.store(on && simd::kHaveNativeLanes,
                        std::memory_order_relaxed);
 }
 

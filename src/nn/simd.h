@@ -27,10 +27,9 @@
 //     time (which defines CONFCARD_SIMD_OFF and compiles the vector
 //     paths out entirely).
 //
-// At runtime, SetSimdEnabled(false) (or the CONFCARD_SIMD=off
-// environment variable) switches every kernel back to its scalar
-// reference implementation — both paths live in the binary, which is
-// what lets tests assert scalar-vs-SIMD bit identity and lets
+// At runtime, SetSimdEnabled(false) switches every kernel back to its
+// scalar reference implementation — both paths live in the binary,
+// which is what lets tests assert scalar-vs-SIMD bit identity and lets
 // bench_parallel report honest scalar-vs-SIMD kernel numbers.
 #ifndef CONFCARD_NN_SIMD_H_
 #define CONFCARD_NN_SIMD_H_
@@ -61,8 +60,7 @@ namespace nn {
 bool SimdCompiledIn();
 
 /// Whether the kernels currently take their vector paths. Defaults to
-/// SimdCompiledIn() unless the CONFCARD_SIMD environment variable is
-/// "off"/"0"/"false"/"scalar".
+/// SimdCompiledIn().
 bool SimdEnabled();
 
 /// Runtime toggle (relaxed-atomic; safe to flip between kernel calls,

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -24,22 +22,6 @@ double MicrosBetween(SteadyClock::time_point from, SteadyClock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-int ReadIntEnv(const char* name, int fallback, int lo, int hi) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int>(std::clamp<long>(v, lo, hi));
-}
-
-bool ReadBoolEnv(const char* name, bool fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || raw[0] == '\0') return fallback;
-  const std::string v(raw);
-  return v == "1" || v == "on" || v == "true" || v == "ON" || v == "TRUE";
-}
-
 /// One queued executed-query observation. Slots are preallocated per
 /// shard and recycled through a free ring, so a steady-state Observe
 /// reuses each slot's predicate capacity and allocates nothing.
@@ -57,19 +39,6 @@ void Request::Wait() const {
     // Oversubscribed hosts (single-core CI) need the worker scheduled in.
     if ((++spins & 0xFF) == 0) std::this_thread::yield();
   }
-}
-
-int ShardsFromEnv() {
-  return ReadIntEnv("CONFCARD_SERVE_SHARDS", 1, 1, 64);
-}
-
-ServeFrontEnd::Options ServeFrontEnd::Options::FromEnv() {
-  Options o;
-  o.max_batch = ReadIntEnv("CONFCARD_SERVE_BATCH", o.max_batch, 1, 4096);
-  o.flush_timeout_us =
-      ReadIntEnv("CONFCARD_SERVE_TIMEOUT_US", o.flush_timeout_us, 0, 1000000);
-  o.feedback = ReadBoolEnv("CONFCARD_SERVE_FEEDBACK", o.feedback);
-  return o;
 }
 
 struct ServeFrontEnd::ServeMetrics {

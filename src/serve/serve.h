@@ -32,10 +32,6 @@
 // adapt), and a staged drift detector (recalibrate → inflate →
 // fallback tier → forced breaker) whose transitions are recorded as
 // "type":"drift" events and serve.drift.* metrics.
-//
-// Env knobs (read by Options::FromEnv / ShardsFromEnv, see
-// docs/SERVING.md): CONFCARD_SERVE_SHARDS, CONFCARD_SERVE_BATCH,
-// CONFCARD_SERVE_TIMEOUT_US, CONFCARD_SERVE_FEEDBACK.
 #ifndef CONFCARD_SERVE_SERVE_H_
 #define CONFCARD_SERVE_SERVE_H_
 
@@ -125,10 +121,6 @@ struct alignas(64) Request {
   std::chrono::steady_clock::time_point submitted_at{};
 };
 
-/// Number of shard replicas the environment asks for:
-/// CONFCARD_SERVE_SHARDS clamped to [1, 64], default 1.
-int ShardsFromEnv();
-
 /// Serving front-end over per-shard guarded replicas.
 class ServeFrontEnd {
  public:
@@ -172,13 +164,6 @@ class ServeFrontEnd {
     DriftDetectorOptions detector;
     /// Residual-corrector knobs (AQO-style executed-query feedback).
     ResidualCorrector::Options corrector;
-
-    /// max_batch from CONFCARD_SERVE_BATCH (clamped [1, 4096], default
-    /// 32), flush_timeout_us from CONFCARD_SERVE_TIMEOUT_US (clamped
-    /// [0, 1000000], default 200), and feedback from
-    /// CONFCARD_SERVE_FEEDBACK ("1"/"on"/"true" enables); everything
-    /// else stays at defaults.
-    static Options FromEnv();
   };
 
   /// One guard per shard (none owned; all must outlive the front-end).

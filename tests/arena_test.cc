@@ -2,7 +2,7 @@
 // the small-buffer bypass, trim-at-epoch semantics, and correctness of
 // tensors built on recycled (dirty) storage — serially and from inside
 // ParallelFor workers, where each pool thread owns an independent
-// cache.
+// cache. Under ASan, a write to a parked buffer must be reported.
 #include "nn/arena.h"
 
 #include <gtest/gtest.h>
@@ -27,15 +27,7 @@ class ThreadsRestorer {
   int saved_;
 };
 
-// The whole suite is vacuous when recycling is disabled (ASan runs set
-// CONFCARD_ARENA=off); skip rather than fail there.
-#define SKIP_IF_ARENA_DISABLED()                            \
-  if (!ArenaEnabled()) {                                    \
-    GTEST_SKIP() << "arena disabled via CONFCARD_ARENA";    \
-  }
-
 TEST(ArenaTest, RecyclesExactSizeBuffers) {
-  SKIP_IF_ARENA_DISABLED();
   ArenaTrim();
   const ArenaStats before = ArenaThreadStats();
   const float* first_ptr = nullptr;
@@ -58,7 +50,6 @@ TEST(ArenaTest, RecyclesExactSizeBuffers) {
 }
 
 TEST(ArenaTest, DifferentSizeMissesTheCache) {
-  SKIP_IF_ARENA_DISABLED();
   ArenaTrim();
   { Tensor t = Tensor::Uninitialized(64, 64); }
   const ArenaStats before = ArenaThreadStats();
@@ -70,7 +61,6 @@ TEST(ArenaTest, DifferentSizeMissesTheCache) {
 }
 
 TEST(ArenaTest, SmallBuffersShareTheMinimumSizeClass) {
-  SKIP_IF_ARENA_DISABLED();
   ArenaTrim();
   const ArenaStats before = ArenaThreadStats();
   { Tensor t = Tensor::Uninitialized(2, 2); }  // 16 B, rounds up to 256
@@ -86,7 +76,6 @@ TEST(ArenaTest, SmallBuffersShareTheMinimumSizeClass) {
 }
 
 TEST(ArenaTest, TrimEmptiesTheCallingThreadsCache) {
-  SKIP_IF_ARENA_DISABLED();
   { Tensor t = Tensor::Uninitialized(32, 32); }
   EXPECT_GT(ArenaThreadStats().cached_bytes, 0u);
   ArenaTrim();
@@ -96,7 +85,6 @@ TEST(ArenaTest, TrimEmptiesTheCallingThreadsCache) {
 }
 
 TEST(ArenaTest, ZerosOnRecycledStorageAreZero) {
-  SKIP_IF_ARENA_DISABLED();
   ArenaTrim();
   {
     Tensor dirty = Tensor::Uninitialized(16, 16);
@@ -131,7 +119,6 @@ TEST(ArenaTest, KernelResultsUnchangedByRecycling) {
 }
 
 TEST(ArenaTest, PerWorkerCachesUnderParallelFor) {
-  SKIP_IF_ARENA_DISABLED();
   ThreadsRestorer restore;
   SetThreads(4);
   // Each chunk allocates, dirties, and frees tensors on whatever worker
@@ -158,6 +145,21 @@ TEST(ArenaTest, PerWorkerCachesUnderParallelFor) {
   ArenaTrim();
   EXPECT_EQ(ArenaThreadStats().cached_bytes, 0u);
 }
+
+#if defined(__SANITIZE_ADDRESS__)
+// Under ASan a parked buffer is poisoned: touching tensor storage after
+// its release is reported even though the arena still owns the memory.
+TEST(ArenaDeathTest, WriteToParkedBufferIsReportedUnderAsan) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        void* p = ArenaAllocate(1024);
+        ArenaRelease(p, 1024);
+        static_cast<volatile char*>(p)[0] = 1;
+      },
+      "use-after-poison");
+}
+#endif
 
 }  // namespace
 }  // namespace nn

@@ -1,13 +1,20 @@
 // Harness plumbing tests with cheap estimators: result fields populated,
 // coverage sane, all four PI methods runnable end to end on a small
-// single-table setup, plus the join harness.
+// single-table setup, plus the join harness, and golden rows pinning
+// the bits of every runner's intervals.
 #include "harness/single_table.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ios>
+
+#include "ce/guarded.h"
 #include "ce/histogram.h"
 #include "ce/lwnn.h"
 #include "ce/mscn.h"
+#include "common/parallel.h"
 #include "data/generators.h"
 #include "harness/join_harness.h"
 #include "query/join_workload.h"
@@ -54,6 +61,38 @@ Fixture MakeFixture() {
   Workload test = GenerateWorkload(table, wc).value();
   return {std::move(table), std::move(train), std::move(calib),
           std::move(test)};
+}
+
+// A runner's golden rows: the first row's interval (hexfloat: exact
+// bits) and an FNV-1a hash over the bits of every row's estimate, lo and
+// hi.
+struct GoldenRows {
+  double lo0;
+  double hi0;
+  uint64_t hash;
+};
+
+uint64_t RowBitsHash(const MethodResult& r) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const PiRow& row : r.rows) {
+    for (const double v : {row.estimate, row.lo, row.hi}) {
+      const uint64_t bits = std::bit_cast<uint64_t>(v);
+      for (int shift = 0; shift < 64; shift += 8) {
+        h ^= (bits >> shift) & 0xFFull;
+        h *= 0x100000001b3ull;
+      }
+    }
+  }
+  return h;
+}
+
+void ExpectGoldenRows(const MethodResult& r, const GoldenRows& golden) {
+  SCOPED_TRACE(r.model + " " + r.method);
+  ASSERT_FALSE(r.rows.empty());
+  EXPECT_EQ(r.rows[0].lo, golden.lo0) << std::hexfloat << r.rows[0].lo;
+  EXPECT_EQ(r.rows[0].hi, golden.hi0) << std::hexfloat << r.rows[0].hi;
+  EXPECT_EQ(RowBitsHash(r), golden.hash)
+      << std::hex << "0x" << RowBitsHash(r) << "ull";
 }
 
 TEST(SingleTableHarnessTest, ScpWithHistogramModel) {
@@ -168,6 +207,53 @@ TEST(SingleTableHarnessTest, QErrorScoringGivesMultiplicativeIntervals) {
   if (small_n > 5 && large_n > 5) {
     EXPECT_LT(small_w / small_n, large_w / large_n);
   }
+}
+
+// Every single-table runner reproduces rows recorded before the
+// single-table and join runners shared one implementation, at 1 and 4
+// threads. Each thread count gets a fresh harness, so no row comes from
+// the estimate cache.
+TEST(SingleTableHarnessTest, RunnersReproduceGoldenRowsAtOneAndFourThreads) {
+  const int saved_threads = CurrentThreads();
+  Fixture f = MakeFixture();
+  HistogramEstimator hist(f.table);
+  GuardedEstimator guard(hist, f.table);
+  LwnnEstimator::Options lo;
+  lo.epochs = 15;
+  lo.hidden1 = 24;
+  lo.hidden2 = 12;
+  LwnnEstimator lwnn(lo);
+  ASSERT_TRUE(lwnn.Train(f.table, f.train).ok());
+  SingleTableHarness::Options opts;
+  opts.jk_folds = 3;
+  opts.ensemble_size = 2;
+  opts.perturbations = 4;
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetThreads(threads);
+    SingleTableHarness h(f.table, f.train, f.calib, f.test, opts);
+    ExpectGoldenRows(h.RunScp(hist),
+                     {0x0p+0, 0x1.1db42091f4002p+6, 0x76c123238a2f56feull});
+    ExpectGoldenRows(h.RunScpGuarded(guard),
+                     {0x0p+0, 0x1.1db42091f4002p+6, 0x76c123238a2f56feull});
+    ExpectGoldenRows(h.RunLwScp(lwnn), {0x1.c3e002bcdf0bap+4,
+                                        0x1.6f50caf769eb8p+6,
+                                        0xdc55572cc87c9c75ull});
+    ExpectGoldenRows(h.RunLwScp(lwnn, DifficultySource::kEnsemble, &lwnn),
+                     {0x0p+0, 0x1.38cdccb5997ecp+7, 0xd93984637ad39f43ull});
+    ExpectGoldenRows(h.RunLwScp(hist, DifficultySource::kPerturbation),
+                     {0x0p+0, 0x1.5d39e58eff4bdp+5, 0xb7db7313420a1e8dull});
+    ExpectGoldenRows(h.RunCqr(lwnn), {0x1.aaf9906d4d45p+0, 0x1.96b694eebda2ep+9,
+                                      0x694341c897340198ull});
+    ExpectGoldenRows(h.RunJkCv(lwnn, lwnn, /*simplified=*/false),
+                     {0x0p+0, 0x1.468964ed16988p+9, 0xec9dee5e05f403e2ull});
+    ExpectGoldenRows(h.RunJkCv(lwnn, lwnn, /*simplified=*/true),
+                     {0x0p+0, 0x1.4a2f42fb48aa1p+9, 0x8ce73561b935314dull});
+    ExpectGoldenRows(h.RunJkCvFixedModel(hist),
+                     {0x0p+0, 0x1.26bd5f1100302p+6, 0xa18141742d3b1224ull});
+  }
+  SetThreads(saved_threads);
 }
 
 TEST(EstimatorInstanceIdTest, UniqueAcrossReusedStorage) {
@@ -348,6 +434,45 @@ TEST(JoinHarnessTest, CqrAndJkOverDsbWorkload) {
   MethodResult jk = h.RunJkCv(mscn, mscn);
   EXPECT_EQ(jk.method, "jk-cv+");
   EXPECT_GE(jk.coverage, 0.78);  // CV+ floor 1 - 2*alpha = 0.8
+}
+
+// The join runners reproduce rows recorded before they shared one
+// implementation with the single-table runners, at 1 and 4 threads.
+TEST(JoinHarnessTest, RunnersReproduceGoldenRowsAtOneAndFourThreads) {
+  const int saved_threads = CurrentThreads();
+  Database db = MakeDsbLike(3000, 37).value();
+  JoinWorkloadConfig jc;
+  jc.queries_per_template = 10;
+  auto tpls = DsbTemplates();
+  tpls.resize(4);
+  jc.seed = 21;
+  JoinWorkload train = GenerateJoinWorkload(db, tpls, jc).value();
+  jc.seed = 22;
+  JoinWorkload calib = GenerateJoinWorkload(db, tpls, jc).value();
+  jc.seed = 23;
+  JoinWorkload test = GenerateJoinWorkload(db, tpls, jc).value();
+
+  MscnConfig mc;
+  mc.epochs = 8;
+  MscnJoinEstimator mscn(mc);
+  ASSERT_TRUE(mscn.Train(db, train).ok());
+  JoinHarness::Options opts;
+  opts.jk_folds = 3;
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SetThreads(threads);
+    JoinHarness h(db, train, calib, test, opts);
+    ExpectGoldenRows(h.RunScp(mscn),
+                     {0x0p+0, 0x1.94e1b0c66ced5p+9, 0x309e59b52a70a5d0ull});
+    ExpectGoldenRows(h.RunLwScp(mscn),
+                     {0x0p+0, 0x1.84c9d343caa51p+9, 0x398a5c20b7fe1915ull});
+    ExpectGoldenRows(h.RunCqr(mscn),
+                     {0x0p+0, 0x1.94afcd9e52834p+9, 0xcf0b1c3b33372a02ull});
+    ExpectGoldenRows(h.RunJkCv(mscn, mscn),
+                     {0x0p+0, 0x1.94895b4ffedf9p+9, 0xc2fe75f1399ea891ull});
+  }
+  SetThreads(saved_threads);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // path against the per-query guarded path (at 1 and 4 shards), the B=1
 // and T=0 degenerate batching modes, queue-full and breaker-watermark
 // shedding, clean drain on Stop() with requests in flight, quarantine
-// of invalid queries, multi-producer submission, and the scratch-reuse
-// overload of EstimateBatchGuarded.
+// of invalid queries, multi-producer submission, the scratch-reuse
+// overload of EstimateBatchGuarded, and the default batching options.
 #include "serve/serve.h"
 
 #include <gtest/gtest.h>
@@ -108,6 +108,9 @@ class FailingEstimator : public CardinalityEstimator {
 TEST(ServeTest, BatchedPathBitIdenticalToPerQueryGuardedPath) {
   ServeFixture f;
   ServeFrontEnd::Options opts;
+  // The defaults the serving benches run with: B = 32, T = 200 us.
+  EXPECT_EQ(opts.max_batch, 32);
+  EXPECT_EQ(opts.flush_timeout_us, 200);
   opts.max_batch = 8;
   opts.flush_timeout_us = 100;
   ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, opts);
@@ -476,40 +479,6 @@ TEST(ServeTest, ScratchReuseMatchesScratchFreeBatchPath) {
       ASSERT_EQ(with_scratch[i].source, plain[i].source) << "slot " << i;
     }
   }
-}
-
-TEST(ServeTest, EnvKnobsParseAndClamp) {
-  // Defaults when unset.
-  unsetenv("CONFCARD_SERVE_SHARDS");
-  unsetenv("CONFCARD_SERVE_BATCH");
-  unsetenv("CONFCARD_SERVE_TIMEOUT_US");
-  EXPECT_EQ(ShardsFromEnv(), 1);
-  ServeFrontEnd::Options defaults = ServeFrontEnd::Options::FromEnv();
-  EXPECT_EQ(defaults.max_batch, 32);
-  EXPECT_EQ(defaults.flush_timeout_us, 200);
-
-  setenv("CONFCARD_SERVE_SHARDS", "4", 1);
-  setenv("CONFCARD_SERVE_BATCH", "64", 1);
-  setenv("CONFCARD_SERVE_TIMEOUT_US", "1000", 1);
-  EXPECT_EQ(ShardsFromEnv(), 4);
-  ServeFrontEnd::Options parsed = ServeFrontEnd::Options::FromEnv();
-  EXPECT_EQ(parsed.max_batch, 64);
-  EXPECT_EQ(parsed.flush_timeout_us, 1000);
-
-  setenv("CONFCARD_SERVE_SHARDS", "9999", 1);   // clamped to 64
-  setenv("CONFCARD_SERVE_BATCH", "0", 1);       // clamped to 1
-  setenv("CONFCARD_SERVE_TIMEOUT_US", "-5", 1); // clamped to 0
-  EXPECT_EQ(ShardsFromEnv(), 64);
-  ServeFrontEnd::Options clamped = ServeFrontEnd::Options::FromEnv();
-  EXPECT_EQ(clamped.max_batch, 1);
-  EXPECT_EQ(clamped.flush_timeout_us, 0);
-
-  setenv("CONFCARD_SERVE_SHARDS", "junk", 1);  // unparsable: default
-  EXPECT_EQ(ShardsFromEnv(), 1);
-
-  unsetenv("CONFCARD_SERVE_SHARDS");
-  unsetenv("CONFCARD_SERVE_BATCH");
-  unsetenv("CONFCARD_SERVE_TIMEOUT_US");
 }
 
 }  // namespace

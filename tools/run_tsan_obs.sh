@@ -9,20 +9,23 @@
 # bench_serving smoke with its bit-identity and zero-alloc gates),
 # drift-smoke (the self-healing loop: feedback rings, sliding-window
 # recalibration, staged-degradation transitions, plus the bench_drift
-# smoke with its replay and zero-alloc gates), and fault-smoke (the
+# smoke with its replay and zero-alloc gates), fault-smoke (the
 # fault registry, the guard's batched attempt 0 and per-query ladder,
 # plus the bench_faults sweep, which drives the guard with faults armed
-# from a ParallelFor). A clean exit means the sanitizer saw no races
+# from a ParallelFor), and harness-smoke (harness_test and
+# determinism_test: the PI runners shared by the single-table and join
+# harnesses, with concurrent fold and CQR-head training and the
+# estimate cache). A clean exit means the sanitizer saw no races
 # (tsan) or memory errors (asan) in the hot-path
-# record/merge/sample/serve/guard code.
+# record/merge/sample/serve/guard/harness code.
 #
 # Usage: tools/run_tsan_obs.sh [preset]   (default: tsan)
 #
 # The argument is a CMakePresets.json preset name. `tsan` is the
 # historical default; `asan` runs the same labeled suite under
-# AddressSanitizer — its test preset exports CONFCARD_ARENA=off, since
-# buffer recycling would otherwise mask use-after-free on freed tensor
-# storage (the arena_test cases that need recycling GTEST_SKIP there).
+# AddressSanitizer with the real tensor arena, which poisons parked
+# buffers so a use of tensor storage after its release is still
+# reported.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
