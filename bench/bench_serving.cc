@@ -83,7 +83,7 @@ struct Stack {
 
 Stack BuildStack() {
   // Aggregate init: Table has no default constructor.
-  Stack s{MakeDmv(bench::DefaultRows(), 3).value()};
+  Stack s{MakeDmv(bench::DefaultRows(), 3).value(), {}, {}, {}, {}};
   s.splits = bench::MakeSplits(s.table);
   s.num_rows = static_cast<double>(s.table.num_rows());
   s.model = std::make_unique<LwnnEstimator>(bench::LwnnDefaults());

@@ -129,7 +129,7 @@ Status LwnnEstimator::Train(const Table& table, const Workload& workload) {
       } else {
         loss_sum += nn::MseLoss(pred, y, &grad);
       }
-      net_->Backward(grad);
+      net_->BackwardParams(grad);
       adam.Step();
       ++num_batches;
     }

@@ -162,7 +162,7 @@ void MscnModel::Backward(const nn::Tensor& grad_pred) {
     }
     nn::Tensor grad_elems =
         UnpoolMean(grad_mean, scratch->offsets, scratch->offsets.back());
-    mlp->Backward(grad_elems);
+    mlp->BackwardParams(grad_elems);
   };
 
   back_set(table_mlp_.get(), &table_scratch_, 0);

@@ -224,7 +224,7 @@ Status NaruEstimator::Train(const Table& table) {
       nn::Tensor grad;
       loss_sum +=
           nn::BlockSoftmaxCrossEntropy(logits, block_offsets_, targets, &grad);
-      net_->Backward(grad);
+      net_->BackwardParams(grad);
       adam.Step();
       ++num_batches;
     }

@@ -36,8 +36,6 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-bool IsDataKind(DriftKind kind) { return kind != DriftKind::kTemplate; }
-
 bool IsRowKind(DriftKind kind) {
   return kind == DriftKind::kAppend || kind == DriftKind::kUpdate ||
          kind == DriftKind::kDelete;
@@ -366,9 +364,9 @@ Result<DriftStream> GenerateDriftStream(const TableSpec& base,
   }
 
   const uint64_t salt_template = Mix(options.seed ^ 0x746d706cull);
-  DriftStream out{std::move(pre), std::move(post)};
-  out.data_onset_index = data_idx;
-  out.onset_index = std::min(data_idx, any_template ? tmpl_idx : n);
+  DriftStream out{std::move(pre), std::move(post),
+                  std::min(data_idx, any_template ? tmpl_idx : n), data_idx,
+                  Workload{}};
   out.stream.reserve(n);
   size_t cursors[4] = {0, 0, 0, 0};  // pre/post x base/shift
   for (size_t i = 0; i < n; ++i) {

@@ -276,16 +276,26 @@ MethodResult PiHarness<D, M, T, L>::RunJkCv(const T& prototype,
     });
     // A serial run trains fold k-1 last; restore its telemetry.
     fold_models.back()->RepublishTrainingTelemetry();
+    // Out-of-fold estimates: one batch per fold over its held-out
+    // queries, the folds fanned out across the pool.
+    std::vector<std::vector<size_t>> held_out(static_cast<size_t>(k));
+    for (size_t i = 0; i < all.size(); ++i) {
+      held_out[static_cast<size_t>(fold_of[i])].push_back(i);
+    }
     std::vector<double> oof(all.size());
-    std::vector<double> truths(all.size());
-    ParallelFor(all.size(), 0, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        oof[i] = fold_models[static_cast<size_t>(fold_of[i])]
-                     ->EstimateCardinality(all[i].query);
-        truths[i] = all[i].cardinality;
+    ParallelFor(static_cast<size_t>(k), 1, [&](size_t begin, size_t end) {
+      std::vector<QueryType> queries;
+      std::vector<double> est;
+      for (size_t f = begin; f < end; ++f) {
+        queries.clear();
+        for (size_t i : held_out[f]) queries.push_back(all[i].query);
+        est.resize(queries.size());
+        fold_models[f]->EstimateBatch(queries.data(), queries.size(),
+                                      est.data());
+        for (size_t t = 0; t < est.size(); ++t) oof[held_out[f][t]] = est[t];
       }
     });
-    CONFCARD_CHECK(jk.Calibrate(oof, truths, fold_of, k).ok());
+    CONFCARD_CHECK(jk.Calibrate(oof, Truths(all), fold_of, k).ok());
   }
 
   std::vector<double> full_est = Estimates(full_model, test_);
@@ -293,20 +303,29 @@ MethodResult PiHarness<D, M, T, L>::RunJkCv(const T& prototype,
   {
     InferTimer infer(&result, test_.size());
     EventClock clock;
-    // In full mode each test query runs all K fold models, the most
-    // expensive per-query loop in the harness; queries fan out with one
-    // scratch fold_est per chunk, writing rows into pre-sized slots.
+    std::vector<QueryType> queries;
+    if (!simplified) {
+      queries.reserve(test_.size());
+      for (const L& lq : test_) queries.push_back(lq.query);
+    }
+    // Queries fan out in chunks, writing rows into pre-sized slots. In
+    // full mode each fold model first estimates the chunk's queries in
+    // one batch; chunks, not the whole split, bound the batch tensors
+    // each worker holds at once.
     result.rows.resize(test_.size());
     ParallelFor(test_.size(), 0, [&](size_t begin, size_t end) {
+      std::vector<std::vector<double>> chunk_est(
+          simplified ? 0 : static_cast<size_t>(k),
+          std::vector<double>(end - begin));
+      for (size_t f = 0; f < chunk_est.size(); ++f) {
+        fold_models[f]->EstimateBatch(queries.data() + begin, end - begin,
+                                      chunk_est[f].data());
+      }
       std::vector<double> fold_est(static_cast<size_t>(k));
       for (size_t i = begin; i < end; ++i) {
         const double t0 = clock.NowUs();
-        if (!simplified) {
-          for (int f = 0; f < k; ++f) {
-            fold_est[static_cast<size_t>(f)] =
-                fold_models[static_cast<size_t>(f)]->EstimateCardinality(
-                    test_[i].query);
-          }
+        for (size_t f = 0; f < chunk_est.size(); ++f) {
+          fold_est[f] = chunk_est[f][i - begin];
         }
         Interval iv =
             clip.Clip(jk.Predict(fold_est, full_est[i]), kind_.clip_bound);

@@ -194,14 +194,23 @@ MethodResult SingleTableHarness::RunLwScp(
     // A serial run leaves the last member's training telemetry in the
     // registry; restore that state after the concurrent phase.
     ensemble.back()->RepublishTrainingTelemetry();
+    // Queries fan out in chunks; each member estimates a chunk in one
+    // batch.
     auto difficulty = [&](const Workload& wl, std::vector<double>* out) {
+      std::vector<Query> queries;
+      queries.reserve(wl.size());
+      for (const LabeledQuery& lq : wl) queries.push_back(lq.query);
       ParallelFor(wl.size(), 0, [&](size_t begin, size_t end) {
-        std::vector<double> preds;
+        std::vector<std::vector<double>> est(
+            ensemble.size(), std::vector<double>(end - begin));
+        for (size_t m = 0; m < ensemble.size(); ++m) {
+          ensemble[m]->EstimateBatch(queries.data() + begin, end - begin,
+                                     est[m].data());
+        }
+        std::vector<double> preds(ensemble.size());
         for (size_t i = begin; i < end; ++i) {
-          preds.clear();
-          preds.reserve(ensemble.size());
-          for (const auto& m : ensemble) {
-            preds.push_back(m->EstimateCardinality(wl[i].query));
+          for (size_t m = 0; m < ensemble.size(); ++m) {
+            preds[m] = est[m][i - begin];
           }
           (*out)[i] = std::max(1.0, StdDev(preds));
         }
@@ -212,8 +221,9 @@ MethodResult SingleTableHarness::RunLwScp(
   } else {
     // Perturbation: jitter each predicate's bounds by up to 2% of the
     // column span and measure the estimate's sensitivity. One Rng stream
-    // is shared sequentially across queries, so this path must stay
-    // serial: fanning it out would reorder the draws and change outputs.
+    // is shared sequentially across queries, so the perturbed queries
+    // are drawn serially, in query-then-perturbation order; batches of
+    // them are then estimated in parallel chunks.
     Rng rng(seed_ ^ 0x9E37ull);
     auto perturb = [&](const Query& q, Rng& r) {
       Query out = q;
@@ -230,13 +240,22 @@ MethodResult SingleTableHarness::RunLwScp(
       return out;
     };
     auto difficulty = [&](const Workload& wl, std::vector<double>* out) {
-      for (size_t i = 0; i < wl.size(); ++i) {
-        std::vector<double> preds;
-        preds.reserve(static_cast<size_t>(options_.perturbations));
-        for (int k = 0; k < options_.perturbations; ++k) {
-          preds.push_back(
-              model.EstimateCardinality(perturb(wl[i].query, rng)));
+      const size_t per = static_cast<size_t>(options_.perturbations);
+      std::vector<Query> perturbed;
+      perturbed.reserve(wl.size() * per);
+      for (const LabeledQuery& lq : wl) {
+        for (size_t k = 0; k < per; ++k) {
+          perturbed.push_back(perturb(lq.query, rng));
         }
+      }
+      std::vector<double> est(perturbed.size());
+      ParallelFor(perturbed.size(), 0, [&](size_t begin, size_t end) {
+        model.EstimateBatch(perturbed.data() + begin, end - begin,
+                            est.data() + begin);
+      });
+      for (size_t i = 0; i < wl.size(); ++i) {
+        const std::vector<double> preds(est.begin() + i * per,
+                                        est.begin() + (i + 1) * per);
         (*out)[i] = std::max(1.0, StdDev(preds));
       }
     };

@@ -11,6 +11,15 @@ namespace confcard {
 namespace nn {
 namespace {
 
+// bias.grad += the column sums of grad_output, row by row.
+void AddBiasGrad(const Tensor& grad_output, Parameter* bias) {
+  float* b = bias->grad.RowPtr(0);
+  for (size_t r = 0; r < grad_output.rows(); ++r) {
+    const float* row = grad_output.RowPtr(r);
+    for (size_t c = 0; c < grad_output.cols(); ++c) b[c] += row[c];
+  }
+}
+
 void AddBiasRows(Tensor* out, const Parameter& bias) {
   const float* b = bias.value.RowPtr(0);
   for (size_t r = 0; r < out->rows(); ++r) {
@@ -216,14 +225,14 @@ Tensor Dense::ApplyActivated(const Tensor& input, bool relu) const {
 }
 
 Tensor Dense::Backward(const Tensor& grad_output) {
+  BackwardParams(grad_output);
+  return MatMulTransB(grad_output, weight_.value);
+}
+
+void Dense::BackwardParams(const Tensor& grad_output) {
   CONFCARD_DCHECK(grad_output.rows() == input_.rows());
   weight_.grad.Add(MatMulTransA(input_, grad_output));
-  for (size_t r = 0; r < grad_output.rows(); ++r) {
-    const float* row = grad_output.RowPtr(r);
-    float* b = bias_.grad.RowPtr(0);
-    for (size_t c = 0; c < grad_output.cols(); ++c) b[c] += row[c];
-  }
-  return MatMulTransB(grad_output, weight_.value);
+  AddBiasGrad(grad_output, &bias_);
 }
 
 std::vector<Parameter*> Dense::Parameters() { return {&weight_, &bias_}; }
@@ -275,18 +284,18 @@ Tensor MaskedDense::ApplyCols(const Tensor& input, size_t col_begin,
 }
 
 Tensor MaskedDense::Backward(const Tensor& grad_output) {
+  BackwardParams(grad_output);
+  return MatMulTransB(grad_output, weight_.value);
+}
+
+void MaskedDense::BackwardParams(const Tensor& grad_output) {
   Tensor wgrad = MatMulTransA(input_, grad_output);
   // Mask the gradient so optimizer steps never resurrect masked weights.
   for (size_t i = 0; i < wgrad.size(); ++i) {
     wgrad.data()[i] *= mask_.data()[i];
   }
   weight_.grad.Add(wgrad);
-  for (size_t r = 0; r < grad_output.rows(); ++r) {
-    const float* row = grad_output.RowPtr(r);
-    float* b = bias_.grad.RowPtr(0);
-    for (size_t c = 0; c < grad_output.cols(); ++c) b[c] += row[c];
-  }
-  return MatMulTransB(grad_output, weight_.value);
+  AddBiasGrad(grad_output, &bias_);
 }
 
 std::vector<Parameter*> MaskedDense::Parameters() {
@@ -347,6 +356,15 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
     g = layers_[i]->Backward(g);
   }
   return g;
+}
+
+void Sequential::BackwardParams(const Tensor& grad_output) {
+  if (layers_.empty()) return;
+  Tensor g = grad_output;
+  for (size_t i = layers_.size(); i-- > 1;) {
+    g = layers_[i]->Backward(g);
+  }
+  layers_.front()->BackwardParams(g);
 }
 
 std::vector<Parameter*> Sequential::Parameters() {

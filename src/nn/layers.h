@@ -45,6 +45,13 @@ class Layer {
   /// dLoss/dInput. Must be called after Forward on the same batch.
   virtual Tensor Backward(const Tensor& grad_output) = 0;
 
+  /// Backward for a caller that drops dLoss/dInput, as the first layer
+  /// of a network does: accumulates the same parameter gradients, bit
+  /// for bit, and skips the input-gradient product where it can.
+  virtual void BackwardParams(const Tensor& grad_output) {
+    Backward(grad_output);
+  }
+
   /// Learnable parameters (empty for activations).
   virtual std::vector<Parameter*> Parameters() { return {}; }
 };
@@ -57,6 +64,7 @@ class Dense : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Apply(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
   /// Inference forward with the bias-add and (optionally) the following
@@ -88,6 +96,7 @@ class MaskedDense : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Apply(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
   /// Inference forward over a block-sparse one-hot input (see
@@ -148,6 +157,9 @@ class Sequential : public Layer {
   Tensor Forward(const Tensor& input) override;
   Tensor Apply(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// Full Backward through every layer but the first, which gets
+  /// BackwardParams.
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
   size_t num_layers() const { return layers_.size(); }

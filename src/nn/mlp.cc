@@ -43,6 +43,10 @@ Tensor Mlp::Backward(const Tensor& grad_output) {
   return net_.Backward(grad_output);
 }
 
+void Mlp::BackwardParams(const Tensor& grad_output) {
+  net_.BackwardParams(grad_output);
+}
+
 std::vector<Parameter*> Mlp::Parameters() { return net_.Parameters(); }
 
 }  // namespace nn

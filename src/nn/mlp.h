@@ -25,6 +25,7 @@ class Mlp : public Layer {
   /// remains the plain reference chain.
   Tensor ApplyFused(const Tensor& input) const;
   Tensor Backward(const Tensor& grad_output) override;
+  void BackwardParams(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
   size_t in_dim() const { return in_dim_; }

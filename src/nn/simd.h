@@ -1,18 +1,17 @@
 // Portable SIMD lane abstraction for the float32 kernels in
-// tensor.cc/layers.cc, plus the runtime controls the benches and tests
-// use to compare scalar and vector paths in one binary.
+// tensor.cc, layers.cc and optimizer.cc, plus the runtime controls the
+// benches and tests use to compare scalar and vector paths in one
+// binary.
 //
 // The bit-identity contract (docs/PERFORMANCE.md) shapes everything
 // here: kernels may only vectorize across INDEPENDENT OUTPUT LANES
 // (j-columns of a GEMM output, elementwise sweeps), never across the
 // shared reduction dimension — each output element's p-ascending
 // accumulation order must match the scalar kernel exactly. The lane ops
-// are plain mul/add (no FMA: a fused multiply-add rounds once instead
-// of twice and would change low bits), `Relu` reproduces
-// `v < 0.0f ? 0.0f : v` including -0.0 and NaN behavior, and
-// `LoadTransposed` turns a W x W tile of row-major memory into W column
-// vectors so dot-product kernels (MatMulTransB) can broadcast one
-// p-term at a time into W independent accumulator lanes.
+// are plain IEEE add/sub/mul/div/sqrt, each rounded once per lane just
+// as the scalar operator is (no FMA: a fused multiply-add rounds once
+// instead of twice and would change low bits), and `Relu` reproduces
+// `v < 0.0f ? 0.0f : v` including -0.0 and NaN behavior.
 //
 // ISA selection is at compile time from the target the translation unit
 // is built for:
@@ -34,6 +33,7 @@
 #ifndef CONFCARD_NN_SIMD_H_
 #define CONFCARD_NN_SIMD_H_
 
+#include <cmath>
 #include <cstddef>
 
 #if !defined(CONFCARD_SIMD_OFF)
@@ -88,13 +88,11 @@ struct ScalarLanes {
   static Vec Broadcast(float x) { return x; }
   static Vec Zero() { return 0.0f; }
   static Vec Add(Vec a, Vec b) { return a + b; }
+  static Vec Sub(Vec a, Vec b) { return a - b; }
   static Vec Mul(Vec a, Vec b) { return a * b; }
+  static Vec Div(Vec a, Vec b) { return a / b; }
+  static Vec Sqrt(Vec v) { return std::sqrt(v); }
   static Vec Relu(Vec v) { return v < 0.0f ? 0.0f : v; }
-  static void LoadTransposed(const float* base, size_t stride,
-                             Vec out[kWidth]) {
-    (void)stride;
-    out[0] = base[0];
-  }
 };
 
 #if defined(CONFCARD_SIMD_AVX2)
@@ -107,49 +105,14 @@ struct Avx2Lanes {
   static Vec Broadcast(float x) { return _mm256_set1_ps(x); }
   static Vec Zero() { return _mm256_setzero_ps(); }
   static Vec Add(Vec a, Vec b) { return _mm256_add_ps(a, b); }
+  static Vec Sub(Vec a, Vec b) { return _mm256_sub_ps(a, b); }
   static Vec Mul(Vec a, Vec b) { return _mm256_mul_ps(a, b); }
+  static Vec Div(Vec a, Vec b) { return _mm256_div_ps(a, b); }
+  static Vec Sqrt(Vec v) { return _mm256_sqrt_ps(v); }
   // maxps(0, v) returns the SECOND operand when the compare is equal or
   // unordered, so -0.0f passes through and NaN stays NaN — exactly
   // `v < 0.0f ? 0.0f : v`.
   static Vec Relu(Vec v) { return _mm256_max_ps(Zero(), v); }
-  // 8x8 in-register transpose of the tile whose row t is
-  // base[t*stride .. t*stride+7]; out[c] holds column c across the 8
-  // rows. Standard unpack/shuffle/permute2f128 sequence.
-  static void LoadTransposed(const float* base, size_t stride,
-                             Vec out[kWidth]) {
-    const __m256 r0 = _mm256_loadu_ps(base + 0 * stride);
-    const __m256 r1 = _mm256_loadu_ps(base + 1 * stride);
-    const __m256 r2 = _mm256_loadu_ps(base + 2 * stride);
-    const __m256 r3 = _mm256_loadu_ps(base + 3 * stride);
-    const __m256 r4 = _mm256_loadu_ps(base + 4 * stride);
-    const __m256 r5 = _mm256_loadu_ps(base + 5 * stride);
-    const __m256 r6 = _mm256_loadu_ps(base + 6 * stride);
-    const __m256 r7 = _mm256_loadu_ps(base + 7 * stride);
-    const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-    const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-    const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-    const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-    const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-    const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-    const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-    const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-    const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-    const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-    const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-    out[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
-    out[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
-    out[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
-    out[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
-    out[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
-    out[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
-    out[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
-    out[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
-  }
 };
 
 using NativeLanes = Avx2Lanes;
@@ -165,21 +128,12 @@ struct Sse2Lanes {
   static Vec Broadcast(float x) { return _mm_set1_ps(x); }
   static Vec Zero() { return _mm_setzero_ps(); }
   static Vec Add(Vec a, Vec b) { return _mm_add_ps(a, b); }
+  static Vec Sub(Vec a, Vec b) { return _mm_sub_ps(a, b); }
   static Vec Mul(Vec a, Vec b) { return _mm_mul_ps(a, b); }
+  static Vec Div(Vec a, Vec b) { return _mm_div_ps(a, b); }
+  static Vec Sqrt(Vec v) { return _mm_sqrt_ps(v); }
   // Same -0.0/NaN reasoning as the AVX2 variant.
   static Vec Relu(Vec v) { return _mm_max_ps(Zero(), v); }
-  static void LoadTransposed(const float* base, size_t stride,
-                             Vec out[kWidth]) {
-    __m128 r0 = _mm_loadu_ps(base + 0 * stride);
-    __m128 r1 = _mm_loadu_ps(base + 1 * stride);
-    __m128 r2 = _mm_loadu_ps(base + 2 * stride);
-    __m128 r3 = _mm_loadu_ps(base + 3 * stride);
-    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
-    out[0] = r0;
-    out[1] = r1;
-    out[2] = r2;
-    out[3] = r3;
-  }
 };
 
 using NativeLanes = Sse2Lanes;
@@ -195,25 +149,13 @@ struct NeonLanes {
   static Vec Broadcast(float x) { return vdupq_n_f32(x); }
   static Vec Zero() { return vdupq_n_f32(0.0f); }
   static Vec Add(Vec a, Vec b) { return vaddq_f32(a, b); }
+  static Vec Sub(Vec a, Vec b) { return vsubq_f32(a, b); }
   static Vec Mul(Vec a, Vec b) { return vmulq_f32(a, b); }
+  static Vec Div(Vec a, Vec b) { return vdivq_f32(a, b); }
+  static Vec Sqrt(Vec v) { return vsqrtq_f32(v); }
   // vmaxq would return +0.0 for -0.0 input; the select reproduces the
   // scalar `v < 0.0f ? 0.0f : v` exactly (NaN < 0 is false -> NaN kept).
   static Vec Relu(Vec v) { return vbslq_f32(vcltq_f32(v, Zero()), Zero(), v); }
-  static void LoadTransposed(const float* base, size_t stride,
-                             Vec out[kWidth]) {
-    const float32x4_t r0 = vld1q_f32(base + 0 * stride);
-    const float32x4_t r1 = vld1q_f32(base + 1 * stride);
-    const float32x4_t r2 = vld1q_f32(base + 2 * stride);
-    const float32x4_t r3 = vld1q_f32(base + 3 * stride);
-    const float32x4x2_t t01 = vtrnq_f32(r0, r1);
-    const float32x4x2_t t23 = vtrnq_f32(r2, r3);
-    out[0] = vcombine_f32(vget_low_f32(t01.val[0]), vget_low_f32(t23.val[0]));
-    out[1] = vcombine_f32(vget_low_f32(t01.val[1]), vget_low_f32(t23.val[1]));
-    out[2] =
-        vcombine_f32(vget_high_f32(t01.val[0]), vget_high_f32(t23.val[0]));
-    out[3] =
-        vcombine_f32(vget_high_f32(t01.val[1]), vget_high_f32(t23.val[1]));
-  }
 };
 
 using NativeLanes = NeonLanes;

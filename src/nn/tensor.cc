@@ -196,168 +196,130 @@ void MatMulTransBRows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
 }
 
 // ---------------------------------------------------------------------
-// Vector variants. Bit identity with the scalar kernels above rests on
-// two invariants: (1) vector lanes only span independent OUTPUT columns
-// (the j dimension), so every output element still accumulates its
-// p-terms one at a time in ascending p order with one rounding per
-// mul and per add (simd.h lane ops never fuse); (2) the outer blocking
-// — 4-row micro blocks and their zero-skip tests in MatMul/MatMulTransA
-// — is copied verbatim from the scalar kernels, so exactly the same
-// terms are skipped. Guarded by `if constexpr (kHaveNativeLanes)` at
-// the dispatch sites so scalar-only builds never instantiate them.
+// Vector kernel: one register-tiled GEMM for all three products. Bit
+// identity with the scalar kernels above rests on two invariants:
+// (1) vector lanes only span independent OUTPUT columns (the j
+// dimension), so every output element still accumulates its p-terms
+// one at a time in ascending p order with one rounding per mul and per
+// add (simd.h lane ops never fuse); (2) the terms skipped are exactly
+// the scalar kernels' — a p whose four A values in the 4-row block are
+// all zero, and in the row tail a p whose single A value is zero. An
+// accumulator that starts at +0.0 never becomes -0.0 (x + y is -0.0
+// only when both are -0.0), so adding a zero product changes nothing
+// and skipping one keeps the bits for finite B. MatMulTransB runs the
+// same kernel over B transposed; its scalar reference skips nothing,
+// so there the identity holds for finite weights. Guarded by
+// `if constexpr (kHaveNativeLanes)` at the dispatch sites so
+// scalar-only builds never instantiate it.
 // ---------------------------------------------------------------------
 
-// Broadcast-row inner sweep shared by the MatMul and MatMulTransA
-// vector kernels: c{0..3}[j..j+W) += v{0..3} * brow[j..j+W), j-tail
-// scalar. Identical arithmetic per element to the scalar j-loop.
-template <typename L>
-inline void AccumulateBlock4(const float* brow, size_t m, float v0, float v1,
-                             float v2, float v3, float* c0, float* c1,
-                             float* c2, float* c3) {
+// Packs the terms of the R-row block at output row i that survive the
+// zero skip: a p is dropped when A(i + r, p) == 0 for every r. Kept
+// terms land in ascending p order, pidx[t] = p and pa[t*R + r] =
+// A(i + r, p). The skip depends only on the block and p, so the
+// j-tiles below share one pack. Returns the number of kept terms.
+template <size_t R, typename AAt>
+size_t PackBlock(const AAt& a_at, size_t i, size_t k, float* pa,
+                 uint32_t* pidx) {
+  size_t np = 0;
+  for (size_t p = 0; p < k; ++p) {
+    float v[R];
+    bool all_zero = true;
+    for (size_t r = 0; r < R; ++r) {
+      v[r] = a_at(i + r, p);
+      all_zero = all_zero && v[r] == 0.0f;
+    }
+    if (all_zero) continue;
+    for (size_t r = 0; r < R; ++r) pa[np * R + r] = v[r];
+    pidx[np++] = static_cast<uint32_t>(p);
+  }
+  return np;
+}
+
+// C[0:R)[j, j + V*W) of the block = the packed terms times the matching
+// B rows; B and C rows are both m floats long. The R x V accumulators
+// live across the whole term loop and are stored once at the end. At
+// 4 x 3 on AVX2 they, 3 B vectors, a broadcast and a product need 17
+// of the 16 ymm registers, so GCC keeps one accumulator on the stack;
+// that changes no value.
+template <typename L, size_t R, size_t V>
+inline void Tile(const float* pa, const uint32_t* pidx, size_t np,
+                 const float* b, size_t m, size_t j, float* c) {
   constexpr size_t W = L::kWidth;
-  const typename L::Vec bv0 = L::Broadcast(v0);
-  const typename L::Vec bv1 = L::Broadcast(v1);
-  const typename L::Vec bv2 = L::Broadcast(v2);
-  const typename L::Vec bv3 = L::Broadcast(v3);
-  size_t j = 0;
-  for (; j + W <= m; j += W) {
-    const typename L::Vec bj = L::Load(brow + j);
-    L::Store(c0 + j, L::Add(L::Load(c0 + j), L::Mul(bv0, bj)));
-    L::Store(c1 + j, L::Add(L::Load(c1 + j), L::Mul(bv1, bj)));
-    L::Store(c2 + j, L::Add(L::Load(c2 + j), L::Mul(bv2, bj)));
-    L::Store(c3 + j, L::Add(L::Load(c3 + j), L::Mul(bv3, bj)));
+  typename L::Vec acc[R][V];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) acc[r][v] = L::Zero();
   }
-  for (; j < m; ++j) {
-    const float bj = brow[j];
-    c0[j] += v0 * bj;
-    c1[j] += v1 * bj;
-    c2[j] += v2 * bj;
-    c3[j] += v3 * bj;
-  }
-}
-
-template <typename L>
-inline void AccumulateRow(const float* brow, size_t m, float av, float* crow) {
-  constexpr size_t W = L::kWidth;
-  const typename L::Vec bav = L::Broadcast(av);
-  size_t j = 0;
-  for (; j + W <= m; j += W) {
-    L::Store(crow + j, L::Add(L::Load(crow + j), L::Mul(bav, L::Load(brow + j))));
-  }
-  for (; j < m; ++j) crow[j] += av * brow[j];
-}
-
-template <typename L>
-void MatMulRowsVec(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
-                   size_t r1) {
-  const size_t k = a.cols(), m = b.cols();
-  size_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    const float* a0 = a.RowPtr(i);
-    const float* a1 = a.RowPtr(i + 1);
-    const float* a2 = a.RowPtr(i + 2);
-    const float* a3 = a.RowPtr(i + 3);
-    float* c0 = c->RowPtr(i);
-    float* c1 = c->RowPtr(i + 1);
-    float* c2 = c->RowPtr(i + 2);
-    float* c3 = c->RowPtr(i + 3);
-    std::memset(c0, 0, 4 * m * sizeof(float));
-    for (size_t p = 0; p < k; ++p) {
-      const float v0 = a0[p], v1 = a1[p], v2 = a2[p], v3 = a3[p];
-      if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-      AccumulateBlock4<L>(b.RowPtr(p), m, v0, v1, v2, v3, c0, c1, c2, c3);
-    }
-  }
-  for (; i < r1; ++i) {
-    const float* arow = a.RowPtr(i);
-    float* crow = c->RowPtr(i);
-    std::memset(crow, 0, m * sizeof(float));
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      if (av == 0.0f) continue;
-      AccumulateRow<L>(b.RowPtr(p), m, av, crow);
-    }
-  }
-}
-
-template <typename L>
-void MatMulTransARowsVec(const Tensor& a, const Tensor& b, Tensor* c,
-                         size_t r0, size_t r1) {
-  const size_t k = a.rows(), m = b.cols();
-  size_t i = r0;
-  for (; i + 4 <= r1; i += 4) {
-    float* c0 = c->RowPtr(i);
-    float* c1 = c->RowPtr(i + 1);
-    float* c2 = c->RowPtr(i + 2);
-    float* c3 = c->RowPtr(i + 3);
-    std::memset(c0, 0, 4 * m * sizeof(float));
-    for (size_t p = 0; p < k; ++p) {
-      const float* arow = a.RowPtr(p);
-      const float v0 = arow[i], v1 = arow[i + 1], v2 = arow[i + 2],
-                  v3 = arow[i + 3];
-      if (v0 == 0.0f && v1 == 0.0f && v2 == 0.0f && v3 == 0.0f) continue;
-      AccumulateBlock4<L>(b.RowPtr(p), m, v0, v1, v2, v3, c0, c1, c2, c3);
-    }
-  }
-  for (; i < r1; ++i) {
-    float* crow = c->RowPtr(i);
-    std::memset(crow, 0, m * sizeof(float));
-    for (size_t p = 0; p < k; ++p) {
-      const float av = a.At(p, i);
-      if (av == 0.0f) continue;
-      AccumulateRow<L>(b.RowPtr(p), m, av, crow);
-    }
-  }
-}
-
-// Dot-product kernel: W independent accumulator lanes, one per output
-// column j..j+W. For each W-wide strip of p, LoadTransposed turns the
-// W x W tile of B (rows j.., cols p..) into W column vectors so lane t
-// receives B[j+t][p] — each lane's sum is still one term per p in
-// ascending order, exactly the scalar accumulator's sequence. The
-// p-tail spills the vector accumulator and continues scalar per lane,
-// preserving that order; the j-tail is the scalar dot product.
-template <typename L>
-void MatMulTransBRowsVec(const Tensor& a, const Tensor& b, Tensor* c,
-                         size_t r0, size_t r1) {
-  constexpr size_t W = L::kWidth;
-  const size_t k = a.cols(), m = b.rows();
-  const size_t bstride = b.cols();  // == k
-  for (size_t i = r0; i < r1; ++i) {
-    const float* arow = a.RowPtr(i);
-    float* crow = c->RowPtr(i);
-    size_t j = 0;
-    for (; j + W <= m; j += W) {
-      const float* btile = b.RowPtr(j);
-      typename L::Vec acc = L::Zero();
-      typename L::Vec bcols[W];
-      size_t p = 0;
-      for (; p + W <= k; p += W) {
-        L::LoadTransposed(btile + p, bstride, bcols);
-        for (size_t t = 0; t < W; ++t) {
-          acc = L::Add(acc, L::Mul(L::Broadcast(arow[p + t]), bcols[t]));
-        }
-      }
-      if (p < k) {
-        alignas(32) float accs[W];
-        L::Store(accs, acc);
-        for (size_t t = 0; t < W; ++t) {
-          const float* brow = btile + t * bstride;
-          float lane = accs[t];
-          for (size_t q = p; q < k; ++q) lane += arow[q] * brow[q];
-          crow[j + t] = lane;
-        }
-      } else {
-        L::Store(crow + j, acc);
+  for (size_t t = 0; t < np; ++t) {
+    const float* brow = b + size_t{pidx[t]} * m + j;
+    typename L::Vec bv[V];
+    for (size_t v = 0; v < V; ++v) bv[v] = L::Load(brow + v * W);
+    for (size_t r = 0; r < R; ++r) {
+      const typename L::Vec av = L::Broadcast(pa[t * R + r]);
+      for (size_t v = 0; v < V; ++v) {
+        acc[r][v] = L::Add(acc[r][v], L::Mul(av, bv[v]));
       }
     }
-    for (; j < m; ++j) {
-      const float* brow = b.RowPtr(j);
-      float acc = 0.0f;
-      for (size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      crow[j] = acc;
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t v = 0; v < V; ++v) L::Store(c + r * m + j + v * W, acc[r][v]);
+  }
+}
+
+// Every column of an R-row block: 3-vector tiles, then one 2- or
+// 1-vector tile for the remaining whole vectors, then single scalar
+// columns (a width-1 tile per column) for the last m mod W.
+template <typename L, size_t R>
+void BlockColumns(const float* pa, const uint32_t* pidx, size_t np,
+                  const Tensor& b, float* c) {
+  constexpr size_t W = L::kWidth;
+  const size_t m = b.cols();
+  const float* bp = b.data().data();
+  size_t j = 0;
+  for (; j + 3 * W <= m; j += 3 * W) Tile<L, R, 3>(pa, pidx, np, bp, m, j, c);
+  if (j + 2 * W <= m) {
+    Tile<L, R, 2>(pa, pidx, np, bp, m, j, c);
+    j += 2 * W;
+  } else if (j + W <= m) {
+    Tile<L, R, 1>(pa, pidx, np, bp, m, j, c);
+    j += W;
+  }
+  for (; j < m; ++j) Tile<simd::ScalarLanes, R, 1>(pa, pidx, np, bp, m, j, c);
+}
+
+// C[r0:r1) = A' * B where A'(i, p) = a_at(i, p) over p < k: 4-row
+// blocks, then single rows, each packed once and then swept across
+// every column tile.
+template <typename L, typename AAt>
+void TiledRows(const AAt& a_at, size_t k, const Tensor& b, Tensor* c,
+               size_t r0, size_t r1) {
+  // Both buffers come from the thread's tensor arena.
+  FloatBuffer pa(4 * k);
+  std::vector<uint32_t, DefaultInitAllocator<uint32_t>> pidx(k);
+  size_t i = r0;
+  for (; i + 4 <= r1; i += 4) {
+    const size_t np = PackBlock<4>(a_at, i, k, pa.data(), pidx.data());
+    BlockColumns<L, 4>(pa.data(), pidx.data(), np, b, c->RowPtr(i));
+  }
+  for (; i < r1; ++i) {
+    const size_t np = PackBlock<1>(a_at, i, k, pa.data(), pidx.data());
+    BlockColumns<L, 1>(pa.data(), pidx.data(), np, b, c->RowPtr(i));
+  }
+}
+
+// B^T, for MatMulTransB's pass through the tiled kernel. Strips of 8
+// rows of B keep the lines read and the line written cache-resident.
+Tensor Transpose(const Tensor& b) {
+  const size_t rows = b.rows(), cols = b.cols();
+  Tensor t = Tensor::Uninitialized(cols, rows);
+  for (size_t j0 = 0; j0 < rows; j0 += 8) {
+    const size_t j1 = std::min(rows, j0 + 8);
+    for (size_t p = 0; p < cols; ++p) {
+      float* trow = t.RowPtr(p);
+      for (size_t j = j0; j < j1; ++j) trow[j] = b.At(j, p);
     }
   }
+  return t;
 }
 
 }  // namespace
@@ -368,8 +330,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor c = Tensor::Uninitialized(n, m);
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
+      auto a_at = [&a](size_t i, size_t p) { return a.RowPtr(i)[p]; };
       ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
-        MatMulRowsVec<simd::NativeLanes>(a, b, &c, r0, r1);
+        TiledRows<simd::NativeLanes>(a_at, k, b, &c, r0, r1);
       });
       return c;
     }
@@ -386,8 +349,9 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   Tensor c = Tensor::Uninitialized(n, m);
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
+      auto a_at = [&a](size_t i, size_t p) { return a.RowPtr(p)[i]; };
       ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
-        MatMulTransARowsVec<simd::NativeLanes>(a, b, &c, r0, r1);
+        TiledRows<simd::NativeLanes>(a_at, k, b, &c, r0, r1);
       });
       return c;
     }
@@ -404,8 +368,10 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   Tensor c = Tensor::Uninitialized(n, m);
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
+      const Tensor bt = Transpose(b);
+      auto a_at = [&a](size_t i, size_t p) { return a.RowPtr(i)[p]; };
       ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
-        MatMulTransBRowsVec<simd::NativeLanes>(a, b, &c, r0, r1);
+        TiledRows<simd::NativeLanes>(a_at, k, bt, &c, r0, r1);
       });
       return c;
     }

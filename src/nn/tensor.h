@@ -121,13 +121,14 @@ struct SparseRows {
   }
 };
 
-// The products below use cache-blocked kernels (4-output-row micro
-// blocks so each B row streams once per block instead of once per row)
-// and fan output rows out across the thread pool above a flop
-// threshold. Per output element the accumulation order over the shared
-// dimension is ascending regardless of blocking or thread count, so
-// results are bit-identical to the naive triple loop for finite inputs
-// and across any CONFCARD_THREADS setting.
+// The products below use 4-output-row blocks (each B row streams once
+// per block instead of once per row); the vector path packs each
+// block's nonzero terms once and sweeps register-resident tiles of C
+// across them (tensor.cc). Output rows fan out across the thread pool
+// above a flop threshold. Per output element the accumulation order
+// over the shared dimension is ascending regardless of blocking, tiling
+// or thread count, so results are bit-identical to the naive triple
+// loop for finite inputs and across any CONFCARD_THREADS setting.
 
 /// C = A * B. Shapes: (n,k) x (k,m) -> (n,m).
 Tensor MatMul(const Tensor& a, const Tensor& b);

@@ -663,6 +663,7 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return CountedAlignedAlloc(size, static_cast<std::size_t>(align));
 }
 
+// GCC's -Wmismatched-new-delete misreads these: every new above mallocs.
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "ce/naru.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "data/datasets.h"
 #include "data/generators.h"
 #include "harness/single_table.h"
 #include "nn/layers.h"
@@ -290,6 +292,75 @@ TEST(InferenceBatchTest, MaskedDenseSparseKernelsMatchApply) {
       ASSERT_EQ(got_oh_cols.At(r, c - c0), want.At(r, c));
     }
   }
+}
+
+// FNV-1a over the bits of every estimate, in order.
+uint64_t EstimateBitsHash(const std::vector<double>& estimates) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (double e : estimates) {
+    uint64_t bits;
+    std::memcpy(&bits, &e, sizeof(bits));
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+// Training golden at the shapes of perfbench's pi_offline workload: a
+// 5,000-row DMV-like table, 100 training and 300 test queries of
+// selectivity at most 0.2, MSCN at hidden width 96 for 60 epochs, Naru
+// at hidden width 64 for 6 epochs with 32 sample paths, LW-NN at 32/16.
+// The hashes were recorded before the register-tiled GEMM kernels, the
+// vector Adam step and the parameter-only first-layer backward: every
+// weight these models train must keep its bits through any kernel
+// change, so every estimate does too.
+TEST(InferenceBatchTest, TrainedEstimatesAtPiOfflineShapesReproduceGolden) {
+  auto table = MakeDmv(5000, 7);
+  ASSERT_TRUE(table.ok());
+  auto label = [&](size_t n, uint64_t seed) {
+    WorkloadConfig wc;
+    wc.max_selectivity = 0.2;
+    wc.num_queries = n;
+    wc.seed = seed;
+    return GenerateWorkload(table.value(), wc).value();
+  };
+  const Workload train = label(100, 1);
+  const Workload test = label(300, 3);
+  std::vector<Query> queries;
+  for (const LabeledQuery& lq : test) queries.push_back(lq.query);
+  auto estimate = [&](const CardinalityEstimator& model) {
+    std::vector<double> out(queries.size());
+    model.EstimateBatch(queries.data(), queries.size(), out.data());
+    return out;
+  };
+
+  MscnEstimator::Options mo;
+  mo.model.epochs = 60;
+  mo.model.set_hidden = 96;
+  mo.model.final_hidden = 96;
+  MscnEstimator mscn(mo);
+  ASSERT_TRUE(mscn.Train(table.value(), train).ok());
+  EXPECT_EQ(EstimateBitsHash(estimate(mscn)), 0x7b2e3813cddc307cull);
+
+  NaruConfig nc;
+  nc.hidden = 64;
+  nc.epochs = 6;
+  nc.num_samples = 32;
+  nc.max_train_rows = 5000;
+  NaruEstimator naru(nc);
+  ASSERT_TRUE(naru.Train(table.value()).ok());
+  EXPECT_EQ(EstimateBitsHash(estimate(naru)), 0xa23be86d0015be63ull);
+
+  LwnnEstimator::Options lo;
+  lo.histogram_buckets = 12;
+  lo.hidden1 = 32;
+  lo.hidden2 = 16;
+  lo.epochs = 30;
+  LwnnEstimator lwnn(lo);
+  ASSERT_TRUE(lwnn.Train(table.value(), train).ok());
+  EXPECT_EQ(EstimateBitsHash(estimate(lwnn)), 0x27db467e67aa4ed3ull);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -235,6 +237,82 @@ TEST(MlpTest, ShapeAndGradientDescentDirection) {
   }
   double after = Objective(mlp, in, weights);
   EXPECT_LT(after, before);
+}
+
+// BackwardParams against Backward on two copies of the same layer: the
+// same forward and two backward passes (so the gradients accumulate)
+// must leave every parameter gradient bit-equal. `make` builds the
+// layer from a seeded Rng; the input has exact zeros and one-hot-like
+// rows so the GEMM zero skips run.
+void ExpectParamsOnlyBackwardMatches(
+    const std::function<std::unique_ptr<Layer>(Rng&)>& make, size_t rows,
+    size_t in_dim, size_t out_dim) {
+  Rng rng_a(11), rng_b(11);
+  std::unique_ptr<Layer> full = make(rng_a);
+  std::unique_ptr<Layer> params_only = make(rng_b);
+  Rng data(12);
+  Tensor in = Tensor::Randn(rows, in_dim, 1.0f, data);
+  for (size_t i = 0; i < in.size(); i += 3) in.data()[i] = 0.0f;
+  for (size_t c = 0; c < in_dim; ++c) in.At(0, c) = c == 1 ? 1.0f : 0.0f;
+  for (int pass = 0; pass < 2; ++pass) {
+    Tensor g = Tensor::Randn(rows, out_dim, 1.0f, data);
+    full->Forward(in);
+    params_only->Forward(in);
+    full->Backward(g);
+    params_only->BackwardParams(g);
+  }
+  std::vector<Parameter*> a = full->Parameters();
+  std::vector<Parameter*> b = params_only->Parameters();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(a[i]->grad.size(), b[i]->grad.size());
+    EXPECT_EQ(std::memcmp(a[i]->grad.data().data(), b[i]->grad.data().data(),
+                          a[i]->grad.size() * sizeof(float)),
+              0)
+        << "parameter " << i;
+  }
+}
+
+TEST(BackwardParamsTest, DenseMatchesFullBackward) {
+  ExpectParamsOnlyBackwardMatches(
+      [](Rng& rng) { return std::make_unique<Dense>(13, 9, rng); }, 10, 13,
+      9);
+}
+
+TEST(BackwardParamsTest, MaskedDenseMatchesFullBackward) {
+  ExpectParamsOnlyBackwardMatches(
+      [](Rng& rng) {
+        Tensor mask(13, 9);
+        for (size_t i = 0; i < mask.size(); ++i) {
+          mask.data()[i] = i % 3 == 0 ? 0.0f : 1.0f;
+        }
+        return std::make_unique<MaskedDense>(13, 9, std::move(mask), rng);
+      },
+      10, 13, 9);
+}
+
+TEST(BackwardParamsTest, MlpMatchesFullBackward) {
+  ExpectParamsOnlyBackwardMatches(
+      [](Rng& rng) {
+        return std::make_unique<Mlp>(std::vector<size_t>{13, 17, 9, 3}, rng);
+      },
+      10, 13, 3);
+}
+
+TEST(BackwardParamsTest, SequentialMatchesFullBackward) {
+  ExpectParamsOnlyBackwardMatches(
+      [](Rng& rng) {
+        auto seq = std::make_unique<Sequential>();
+        Tensor mask(13, 17);
+        mask.Fill(1.0f);
+        seq->Append(
+            std::make_unique<MaskedDense>(13, 17, std::move(mask), rng));
+        seq->Append(std::make_unique<Relu>());
+        seq->Append(std::make_unique<Dense>(17, 5, rng));
+        return seq;
+      },
+      10, 13, 5);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 #include "nn/optimizer.h"
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
+#include "nn/simd.h"
 
 namespace confcard {
 namespace nn {
@@ -128,6 +132,60 @@ TEST(TrainingIntegrationTest, PinballLearnsQuantiles) {
   double hi = train(0.9);
   double lo = train(0.1);
   EXPECT_GT(hi, lo + 3.0);  // quantiles of U[0,10] are ~9 vs ~1
+}
+
+// The vector Adam step against its ScalarLanes instantiation (the
+// scalar reference the SIMD toggle selects): two copies of the same
+// parameters take 200 steps on the same gradients, one with SIMD off
+// and one with it on, and every weight must match bit for bit after
+// every step. The sizes put 0, 1 and several whole vectors before each
+// scalar tail; half the gradients are Gaussian, the rest exact zeros,
+// values whose square underflows, subnormals and large values. In a
+// CONFCARD_SIMD=off build both copies run the scalar path.
+TEST(AdamTest, VectorStepBitIdenticalToScalarLanes) {
+  const bool saved = SimdEnabled();
+  const std::vector<size_t> sizes = {1, 7, 8, 9, 65, 9219};
+  Rng rng(2024);
+  std::vector<Parameter> scalar(sizes.size()), vec(sizes.size());
+  std::vector<Parameter*> scalar_ptrs, vec_ptrs;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    scalar[i].value = Tensor::Randn(1, sizes[i], 1.0f, rng);
+    scalar[i].grad = Tensor(1, sizes[i]);
+    vec[i].value = scalar[i].value;
+    vec[i].grad = Tensor(1, sizes[i]);
+    scalar_ptrs.push_back(&scalar[i]);
+    vec_ptrs.push_back(&vec[i]);
+  }
+  Adam scalar_adam(scalar_ptrs, 1e-2);
+  Adam vec_adam(vec_ptrs, 1e-2);
+  const float kinds[] = {0.0f, 1e-30f, 1e-40f, 1e15f, -4e17f};
+  for (int step = 0; step < 200; ++step) {
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      for (size_t j = 0; j < sizes[i]; ++j) {
+        const double u = rng.NextDouble();
+        const float g = u < 0.5 ? static_cast<float>(rng.NextGaussian())
+                                : kinds[static_cast<size_t>(u * 10) - 5] *
+                                      (step % 2 == 0 ? 1.0f : -1.0f);
+        scalar[i].grad.data()[j] = g;
+        vec[i].grad.data()[j] = g;
+      }
+    }
+    SetSimdEnabled(false);
+    scalar_adam.Step();
+    SetSimdEnabled(true);
+    vec_adam.Step();
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      ASSERT_EQ(std::memcmp(scalar[i].value.data().data(),
+                            vec[i].value.data().data(),
+                            sizes[i] * sizeof(float)),
+                0)
+          << "size " << sizes[i] << " step " << step;
+      for (size_t j = 0; j < sizes[i]; ++j) {
+        ASSERT_EQ(vec[i].grad.data()[j], 0.0f);
+      }
+    }
+  }
+  SetSimdEnabled(saved);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Scalar-vs-SIMD bit identity of every vectorized kernel. The vector
 // paths (nn/simd.h) promise byte-identical results to the scalar
 // reference kernels at every shape, including the awkward ones: output
-// widths hitting every lane-tail residue, reduction depths hitting the
-// transpose-tile p-tail, empty tensors, and non-finite values through
-// the fused ReLU. Comparisons are bitwise (memcmp), not EXPECT_FLOAT_EQ
+// widths hitting every lane-tail residue, reduction depths from none to
+// many packed terms, empty tensors, and non-finite values through the
+// fused ReLU. Comparisons are bitwise (memcmp), not EXPECT_FLOAT_EQ
 // — the contract is identity, not closeness. In a CONFCARD_SIMD=off
 // build SetSimdEnabled(true) is a no-op and every case degenerates to
 // scalar-vs-scalar, so the suite stays green there by construction.
@@ -63,7 +63,7 @@ Tensor RandomTensor(size_t rows, size_t cols, double zero_fraction,
 
 // The shape sweep: every output-width residue modulo the compiled lane
 // width (tail lanes 0..W-1), reduction depths covering the k==0 /
-// k==1 / sub-tile / multi-tile p-loop cases, and empty tensors.
+// k==1 / short / long p-loop cases, and empty tensors.
 template <typename Fn>
 void SweepShapes(const Fn& check) {
   const size_t w = SimdLaneWidth();
@@ -114,8 +114,9 @@ TEST(SimdKernelTest, MatMulTransBBitIdenticalAcrossShapes) {
   SimdRestorer restore;
   Rng rng(3456);
   SweepShapes([&rng](size_t n, size_t k, size_t m) {
-    // (n,k) x (m,k) -> (n,m): m is the j-lane dimension, k the
-    // transpose-tile dimension — both tails matter here.
+    // (n,k) x (m,k) -> (n,m): the vector path runs the tiled kernel
+    // over B transposed, so m is the j-lane dimension and k the
+    // packed-term dimension.
     Tensor a = RandomTensor(n, k, 0.0, rng);
     Tensor b = RandomTensor(m, k, 0.0, rng);
     SetSimdEnabled(false);
@@ -124,6 +125,64 @@ TEST(SimdKernelTest, MatMulTransBBitIdenticalAcrossShapes) {
     Tensor got = MatMulTransB(a, b);
     ExpectBitIdentical(ref, got, "MatMulTransB");
   });
+}
+
+// Rows of one-hot blocks, Naru's input layout: one 1.0f in each
+// non-empty block of [0, cols/7), [cols/7, cols/2) and [cols/2, cols),
+// and every fourth row all zero.
+Tensor OneHotRows(size_t rows, size_t cols, Rng& rng) {
+  Tensor t(rows, cols);
+  const size_t starts[] = {0, cols / 7, cols / 2, cols};
+  for (size_t r = 0; r < rows; ++r) {
+    if (r % 4 == 3) continue;
+    for (size_t b = 0; b < 3; ++b) {
+      const size_t width = starts[b + 1] - starts[b];
+      if (width == 0) continue;
+      t.At(r, starts[b] + static_cast<size_t>(rng.NextDouble() * width)) =
+          1.0f;
+    }
+  }
+  return t;
+}
+
+// The register-tiled kernels against the scalar reference at the shapes
+// their tiling splits on. The output widths cover 3-, 2- and 1-vector
+// tiles and single scalar columns at AVX2 and SSE2/NEON widths; the row
+// counts cover whole 4-row blocks, single-row tails and (166 rows) the
+// pool's row chunks. The shared operand is one-hot rows, as in Naru's
+// input layer, or half zeros, as in a ReLU layer's gradient.
+TEST(SimdKernelTest, TiledKernelsBitIdenticalAtModelShapes) {
+  SimdRestorer restore;
+  Rng rng(8765);
+  const size_t ms[] = {1, 5, 8, 15, 16, 23, 24, 25, 64, 96, 301};
+  const size_t row_counts[] = {1, 3, 4, 5, 64, 166};
+  for (size_t rows : row_counts) {
+    for (size_t m : ms) {
+      for (bool one_hot : {true, false}) {
+        SCOPED_TRACE(::testing::Message() << "rows " << rows << " m " << m
+                                          << (one_hot ? " one-hot" : ""));
+        const size_t k = one_hot ? 37 : 24;
+        // MatMul: (rows, k) x (k, m).
+        const Tensor a = one_hot ? OneHotRows(rows, k, rng)
+                                 : RandomTensor(rows, k, 0.5, rng);
+        const Tensor b = RandomTensor(k, m, 0.0, rng);
+        // MatMulTransA: (k', rows)^T x (k', m), the weight-gradient
+        // product over a batch of k' rows.
+        const Tensor at = one_hot ? OneHotRows(k, rows, rng)
+                                  : RandomTensor(k, rows, 0.5, rng);
+        // MatMulTransB: (rows, k) x (m, k)^T, the input-gradient product.
+        const Tensor bt = RandomTensor(m, k, 0.0, rng);
+        SetSimdEnabled(false);
+        const Tensor ref_mm = MatMul(a, b);
+        const Tensor ref_ta = MatMulTransA(at, b);
+        const Tensor ref_tb = MatMulTransB(a, bt);
+        SetSimdEnabled(true);
+        ExpectBitIdentical(ref_mm, MatMul(a, b), "MatMul");
+        ExpectBitIdentical(ref_ta, MatMulTransA(at, b), "MatMulTransA");
+        ExpectBitIdentical(ref_tb, MatMulTransB(a, bt), "MatMulTransB");
+      }
+    }
+  }
 }
 
 TEST(SimdKernelTest, ApplyActivatedBitIdenticalIncludingNonFinite) {

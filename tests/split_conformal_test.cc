@@ -97,7 +97,9 @@ TEST_P(ScpCoverageProperty, CoverageAtLeastNominal) {
   EXPECT_GE(coverage, 1.0 - alpha - slack);
   // And the intervals should not be trivially wide: coverage should not
   // be 1.0 across thousands of queries for moderate alpha.
-  if (alpha >= 0.1) EXPECT_LT(coverage, 1.0);
+  if (alpha >= 0.1) {
+    EXPECT_LT(coverage, 1.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

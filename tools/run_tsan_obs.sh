@@ -12,12 +12,15 @@
 # smoke with its replay and zero-alloc gates), fault-smoke (the
 # fault registry, the guard's batched attempt 0 and per-query ladder,
 # plus the bench_faults sweep, which drives the guard with faults armed
-# from a ParallelFor), and harness-smoke (harness_test and
+# from a ParallelFor), harness-smoke (harness_test and
 # determinism_test: the PI runners shared by the single-table and join
 # harnesses, with concurrent fold and CQR-head training and the
-# estimate cache). A clean exit means the sanitizer saw no races
-# (tsan) or memory errors (asan) in the hot-path
-# record/merge/sample/serve/guard/harness code.
+# estimate cache), and kernel-smoke (simd_test, tensor_test,
+# layers_test, optimizer_nn_test, mscn_model_test: the register-tiled
+# GEMMs with their tile tails and packed-term buffers, the vector Adam
+# step and the parameter-only backward). A clean exit means the
+# sanitizer saw no races (tsan) or memory errors (asan) in the hot-path
+# record/merge/sample/serve/guard/harness/kernel code.
 #
 # Usage: tools/run_tsan_obs.sh [preset]   (default: tsan)
 #
