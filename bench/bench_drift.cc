@@ -49,6 +49,7 @@
 #include "conformal/split.h"
 #include "data/drift.h"
 #include "obs/profiler.h"
+#include "obs/rolling.h"
 #include "serve/serve.h"
 
 namespace confcard {
@@ -236,42 +237,25 @@ struct Trajectory {
   double shed_fraction = 0.0;
 };
 
-// Coverage over the last kRollingWindow answered responses; shed
-// responses are skipped, so their [0, N] placeholders never count.
-class RollingCoverage {
- public:
-  void Add(const Rec& rec, double truth) {
-    if (rec.shed) return;
-    const int covered = (rec.lo <= truth && truth <= rec.hi) ? 1 : 0;
-    window_.push_back(covered);
-    sum_ += covered;
-    if (window_.size() > kRollingWindow) {
-      sum_ -= window_.front();
-      window_.pop_front();
-    }
-  }
-  bool empty() const { return window_.empty(); }
-  double value() const {
-    return window_.empty() ? 0.0
-                           : sum_ / static_cast<double>(window_.size());
-  }
-
- private:
-  std::deque<int> window_;
-  double sum_ = 0.0;
-};
-
 Trajectory Analyze(const std::vector<Rec>& recs, const Workload& stream,
                    size_t onset_index) {
+  // Coverage over the last kRollingWindow answered responses; shed
+  // responses are skipped, so their [0, N] placeholders never count.
+  // Sums of 0/1 hits are exact, so the window mean is too.
+  const auto add = [&](obs::RollingWindow* window, size_t i) {
+    if (recs[i].shed) return;
+    const double truth = stream[i].cardinality;
+    window->Push(recs[i].lo <= truth && truth <= recs[i].hi ? 1.0 : 0.0);
+  };
   Trajectory t;
-  RollingCoverage rolling;
+  obs::RollingWindow rolling(kRollingWindow);
   size_t shed = 0;
   for (size_t i = 0; i < recs.size(); ++i) {
-    rolling.Add(recs[i], stream[i].cardinality);
-    if (i + 1 == onset_index) t.pre_coverage = rolling.value();
-    if (i >= onset_index && !rolling.empty()) {
-      if (rolling.value() < t.dip) {
-        t.dip = rolling.value();
+    add(&rolling, i);
+    if (i + 1 == onset_index) t.pre_coverage = rolling.Mean();
+    if (i >= onset_index && rolling.size() > 0) {
+      if (rolling.Mean() < t.dip) {
+        t.dip = rolling.Mean();
         t.dip_index = i;
       }
     }
@@ -281,16 +265,16 @@ Trajectory Analyze(const std::vector<Rec>& recs, const Workload& stream,
   // Recovery: first index after the dip where the rolling window has
   // fully turned over since the dip AND coverage is back within 1pp of
   // nominal (a window still dominated by pre-dip hits is not recovery).
-  RollingCoverage rewindow;
+  obs::RollingWindow rewindow(kRollingWindow);
   for (size_t i = 0; i < recs.size(); ++i) {
-    rewindow.Add(recs[i], stream[i].cardinality);
+    add(&rewindow, i);
     if (t.recovery_queries < 0 && i >= t.dip_index + kRollingWindow &&
-        !rewindow.empty() &&
-        rewindow.value() >= kNominal - kRecoveredWithin) {
+        rewindow.size() > 0 &&
+        rewindow.Mean() >= kNominal - kRecoveredWithin) {
       t.recovery_queries = static_cast<long>(i - onset_index);
     }
   }
-  t.final_coverage = rolling.value();
+  t.final_coverage = rolling.Mean();
   t.shed_fraction = recs.empty() ? 0.0
                                  : static_cast<double>(shed) /
                                        static_cast<double>(recs.size());
@@ -575,8 +559,6 @@ int Main() {
         .Int(static_cast<uint64_t>(fo.detector.min_observations));
     w.Key("recalibrate_dip").Number(fo.detector.recalibrate_dip);
     w.Key("inflate_dip").Number(fo.detector.inflate_dip);
-    w.Key("fallback_dip").Number(fo.detector.fallback_dip);
-    w.Key("breaker_dip").Number(fo.detector.breaker_dip);
     w.Key("recovery_hold").Int(static_cast<uint64_t>(fo.detector.recovery_hold));
     w.EndObject();
   }

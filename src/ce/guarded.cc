@@ -57,21 +57,11 @@ bool GuardedEstimator::Sane(double v) {
 }
 
 bool GuardedEstimator::breaker_open() const {
-  return forced_open_.load(std::memory_order_acquire) ||
-         open_.load(std::memory_order_acquire);
-}
-
-void GuardedEstimator::ForceBreaker(bool open) const {
-  forced_open_.store(open, std::memory_order_release);
-}
-
-bool GuardedEstimator::breaker_forced() const {
-  return forced_open_.load(std::memory_order_acquire);
+  return open_.load(std::memory_order_acquire);
 }
 
 bool GuardedEstimator::AllowPrimary(bool* probe) const {
   *probe = false;
-  if (forced_open_.load(std::memory_order_acquire)) return false;
   if (options_.breaker_threshold <= 0) return true;
   if (!open_.load(std::memory_order_acquire)) return true;
   // Open: either burn one cooldown tick, claim the probe slot, or (when
@@ -305,26 +295,6 @@ void GuardedEstimator::EstimateBatchGuarded(const Query* queries, size_t n,
   for (size_t k = 0; k < valid.size(); ++k) {
     const size_t i = valid[k];
     out[i] = Settle(queries[i], values[k], 0.0, /*probe=*/false, key_at(i));
-  }
-}
-
-void GuardedEstimator::EstimateFallbackTier(const Query* queries, size_t n,
-                                            GuardedEstimate* out,
-                                            uint64_t order_key_base) const {
-  if (n == 0) return;
-  const auto key_at = [order_key_base](size_t i) {
-    return order_key_base == 0 ? 0 : order_key_base + i;
-  };
-  metrics_.queries.Increment(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!ValidateQuery(queries[i], num_columns_).ok()) {
-      metrics_.invalid_query.Increment();
-      out[i] = {0.0, true, -1};
-      EmitGuardRecord(queries[i], out[i], "invalid_query", key_at(i));
-      continue;
-    }
-    out[i] = ServeFallback(queries[i]);
-    EmitGuardRecord(queries[i], out[i], "drift_fallback", key_at(i));
   }
 }
 

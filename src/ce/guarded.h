@@ -16,6 +16,9 @@
 //     histogram-AVI estimator built from the table,
 //   * a circuit breaker trips to fallback-only after K consecutive
 //     primary failures and recovers via a healthy probe after cooldown.
+//     Only the primary's own outcomes move it: callers such as the
+//     serving front-end read breaker_open() and never write to the
+//     guard, so one guard can be shared safely.
 //
 // Every intervention bumps a ce.guard.* metric and, when the event log
 // is armed, appends a guard record; healthy queries pay one validation
@@ -120,27 +123,7 @@ class GuardedEstimator : public CardinalityEstimator {
                             GuardedEstimate* out, uint64_t order_key_base = 0,
                             GuardBatchScratch* scratch = nullptr) const;
 
-  /// Fallback-tier batch path for staged drift degradation: every query
-  /// is validated and served from the fallback chain (histogram-AVI
-  /// terminal tier) without touching the primary — no breaker
-  /// bookkeeping, no probes. Guard records carry reason
-  /// "drift_fallback". Allocation-free.
-  void EstimateFallbackTier(const Query* queries, size_t n,
-                            GuardedEstimate* out,
-                            uint64_t order_key_base = 0) const;
-
-  /// Forces the breaker open (true) or releases the force (false). While
-  /// forced, breaker_open() reports open, AllowPrimary denies every
-  /// query (no probes), and the organic breaker state underneath is
-  /// untouched — releasing the force restores whatever the consecutive-
-  /// failure machinery last decided. The drift ladder's terminal stage
-  /// uses this to shed load at admission without fabricating failures.
-  void ForceBreaker(bool open) const;
-  /// True while ForceBreaker(true) is in effect.
-  bool breaker_forced() const;
-
-  /// Circuit-breaker state, for tests and monitors (true when organic
-  /// OR forced open).
+  /// Circuit-breaker state, for tests, monitors and admission control.
   bool breaker_open() const;
 
   const GuardOptions& options() const { return options_; }
@@ -193,9 +176,6 @@ class GuardedEstimator : public CardinalityEstimator {
   mutable std::atomic<int> consecutive_failures_{0};
   mutable std::atomic<bool> open_{false};
   mutable std::atomic<int> cooldown_remaining_{0};
-  // Drift-ladder force: ORed into breaker_open(), short-circuits
-  // AllowPrimary. Independent of the organic state above.
-  mutable std::atomic<bool> forced_open_{false};
 
   struct GuardMetrics {
     obs::Counter& queries;

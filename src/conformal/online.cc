@@ -88,8 +88,6 @@ void OnlineConformal::Observe(double estimate, double truth) {
       sorted_.erase(it);
       evictions.Increment();
     }
-  } else {
-    recency_.push_back(score);
   }
 
   if (options_.publish_metrics) {
@@ -124,19 +122,14 @@ void OnlineConformal::Observe(double estimate, double truth) {
 }
 
 void OnlineConformal::ResetWindowTo(size_t keep_last) {
-  if (options_.window > 0) {
-    const size_t keep = std::min(keep_last, ring_size_);
-    const size_t drop = ring_size_ - keep;
-    ring_head_ = (ring_head_ + drop) % options_.window;
-    ring_size_ = keep;
-    sorted_.resize(keep);
-    for (size_t i = 0; i < keep; ++i) sorted_[i] = RingAt(i);
-  } else {
-    const size_t keep = std::min(keep_last, recency_.size());
-    recency_.erase(recency_.begin(),
-                   recency_.end() - static_cast<ptrdiff_t>(keep));
-    sorted_.assign(recency_.begin(), recency_.end());
-  }
+  CONFCARD_CHECK_MSG(options_.window > 0,
+                     "ResetWindowTo needs a windowed OnlineConformal");
+  const size_t keep = std::min(keep_last, ring_size_);
+  const size_t drop = ring_size_ - keep;
+  ring_head_ = (ring_head_ + drop) % options_.window;
+  ring_size_ = keep;
+  sorted_.resize(keep);
+  for (size_t i = 0; i < keep; ++i) sorted_[i] = RingAt(i);
   std::sort(sorted_.begin(), sorted_.end());
 }
 

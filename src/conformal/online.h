@@ -22,7 +22,6 @@
 #define CONFCARD_CONFORMAL_ONLINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,12 +78,10 @@ class OnlineConformal {
   /// Drops all but the newest `keep_last` calibration scores (stage-1
   /// drift recalibration: stale pre-drift scores stop diluting the
   /// quantile). Lifetime counters and rolling monitors are untouched.
-  /// Allocation-free in windowed mode.
+  /// Windowed instances only (CHECKed); allocation-free.
   void ResetWindowTo(size_t keep_last);
 
-  size_t size() const {
-    return options_.window > 0 ? ring_size_ : recency_.size();
-  }
+  size_t size() const { return sorted_.size(); }
 
   /// Lifetime observation count (never decremented by eviction).
   uint64_t observed() const { return observed_; }
@@ -109,10 +106,9 @@ class OnlineConformal {
 
   std::shared_ptr<const ScoringFunction> scoring_;
   Options options_;
-  // Scores in arrival order: a fixed ring buffer in windowed mode, an
-  // unbounded deque otherwise. The sorted multiset (sorted vector, for
-  // O(log n) quantiles) is shared by both modes.
-  std::deque<double> recency_;
+  // Windowed mode keeps scores in arrival order in a fixed ring buffer
+  // (the eviction order); the unbounded mode never evicts and keeps only
+  // the sorted multiset (sorted vector, for O(log n) quantiles).
   std::vector<double> ring_;
   size_t ring_head_ = 0;
   size_t ring_size_ = 0;

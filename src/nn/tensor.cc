@@ -81,6 +81,7 @@ void ForEachRowBlock(size_t rows, size_t flops, const Kernel& kernel) {
 void MatMulRows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
                 size_t r1) {
   const size_t k = a.cols(), m = b.cols();
+  if (m == 0) return;  // an empty C has null rows: nothing to clear
   size_t i = r0;
   for (; i + 4 <= r1; i += 4) {
     const float* a0 = a.RowPtr(i);
@@ -124,6 +125,7 @@ void MatMulRows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
 void MatMulTransARows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
                       size_t r1) {
   const size_t k = a.rows(), m = b.cols();
+  if (m == 0) return;  // an empty C has null rows: nothing to clear
   size_t i = r0;
   for (; i + 4 <= r1; i += 4) {
     float* c0 = c->RowPtr(i);

@@ -8,17 +8,16 @@
 //                    reset the residual corrector (cheap, reversible)
 //   kInflate      →  multiply interval widths (honest about uncertainty
 //                    while the recalibrator catches up)
-//   kFallback     →  serve the histogram-AVI fallback tier; the learned
-//                    primary is no longer trusted
-//   kBreak        →  force the guard's breaker open; admission sheds
-//                    excess load until coverage recovers
 //
-// Escalation can jump multiple stages at once (a deep dip goes straight
-// to kFallback); de-escalation steps down one stage at a time, and only
-// after `recovery_hold` consecutive healthy observations — a flapping
-// ladder would churn the recalibrator and make replays unreadable.
-// Update() is a pure function of the observation sequence, so a replayed
-// stream walks the identical stage path (bench_drift gates this).
+// kInflate is the top stage, as no measured stream goes further
+// (docs/ROBUSTNESS.md): any dip past inflate_dip lands there, and every
+// stage serves from the guard's primary.
+// Escalation can jump stages (a deep dip goes straight to kInflate);
+// de-escalation steps down one stage at a time, and only after
+// `recovery_hold` consecutive healthy observations — a flapping ladder
+// would churn the recalibrator and make replays unreadable. Update() is
+// a pure function of the observation sequence, so a replayed stream
+// walks the identical stage path (bench_drift gates this).
 #ifndef CONFCARD_SERVE_DRIFT_DETECTOR_H_
 #define CONFCARD_SERVE_DRIFT_DETECTOR_H_
 
@@ -28,37 +27,30 @@
 namespace confcard {
 namespace serve {
 
-/// Ladder stages, ordered by severity.
+/// Ladder stages, ordered by severity. The values are what artifacts
+/// record as `max_stage`.
 enum class DriftStage : int {
   kHealthy = 0,
   kRecalibrate = 1,
   kInflate = 2,
-  kFallback = 3,
-  kBreak = 4,
 };
 
-/// "healthy" / "recalibrate" / "inflate" / "fallback" / "break".
+/// "healthy" / "recalibrate" / "inflate".
 inline const char* DriftStageToString(DriftStage stage) {
   switch (stage) {
     case DriftStage::kHealthy: return "healthy";
     case DriftStage::kRecalibrate: return "recalibrate";
     case DriftStage::kInflate: return "inflate";
-    case DriftStage::kFallback: return "fallback";
-    case DriftStage::kBreak: return "break";
   }
   return "unknown";
 }
 
 struct DriftDetectorOptions {
-  /// Target coverage (1 - alpha); dips are measured against this.
-  double nominal_coverage = 0.9;
   /// Observations the rolling window needs before the detector acts.
   size_t min_observations = 64;
   /// Coverage dip (nominal - rolling) that triggers each stage.
   double recalibrate_dip = 0.03;
   double inflate_dip = 0.08;
-  double fallback_dip = 0.15;
-  double breaker_dip = 0.30;
   /// Rolling/lifetime score ratio that triggers kRecalibrate even while
   /// coverage still looks nominal (drift shows in residuals first).
   double score_drift_ratio = 2.0;
@@ -72,8 +64,10 @@ struct DriftDetectorOptions {
 /// Update (at micro-batch boundaries); stage() is a plain read.
 class DriftDetector {
  public:
-  DriftDetector() = default;
-  explicit DriftDetector(DriftDetectorOptions options) : options_(options) {}
+  /// Dips are measured against `nominal_coverage`, the conformal
+  /// predictor's target 1 - alpha.
+  DriftDetector(double nominal_coverage, DriftDetectorOptions options)
+      : nominal_coverage_(nominal_coverage), options_(options) {}
 
   /// Folds one prequential observation's monitor state into the ladder
   /// and returns the (possibly changed) stage. `observations` is the
@@ -81,13 +75,9 @@ class DriftDetector {
   DriftStage Update(double rolling_coverage, double score_drift,
                     size_t observations) {
     if (observations < options_.min_observations) return stage_;
-    const double dip = options_.nominal_coverage - rolling_coverage;
+    const double dip = nominal_coverage_ - rolling_coverage;
     DriftStage target = DriftStage::kHealthy;
-    if (dip >= options_.breaker_dip) {
-      target = DriftStage::kBreak;
-    } else if (dip >= options_.fallback_dip) {
-      target = DriftStage::kFallback;
-    } else if (dip >= options_.inflate_dip) {
+    if (dip >= options_.inflate_dip) {
       target = DriftStage::kInflate;
     } else if (dip >= options_.recalibrate_dip ||
                score_drift >= options_.score_drift_ratio) {
@@ -120,6 +110,7 @@ class DriftDetector {
   const DriftDetectorOptions& options() const { return options_; }
 
  private:
+  double nominal_coverage_;
   DriftDetectorOptions options_;
   DriftStage stage_ = DriftStage::kHealthy;
   size_t healthy_streak_ = 0;

@@ -118,14 +118,13 @@ struct ServeFrontEnd::Shard {
   std::atomic<uint64_t> hot_allocs{0};
 
   // ---- drift-adaptation state (engaged only when Options::feedback).
-  // recal/corrector/detector/stage are worker-owned: touched by the
-  // shard's worker at micro-batch boundaries, by WarmupFeedback while
-  // quiesced, and by Stop() after the join. stage_atomic mirrors stage
-  // for cross-thread observers.
+  // recal/corrector/detector are worker-owned: touched by the shard's
+  // worker at micro-batch boundaries, by WarmupFeedback while quiesced,
+  // and by Stop() after the join. stage_atomic mirrors the detector's
+  // stage for cross-thread observers.
   std::unique_ptr<OnlineConformal> recal;
   std::unique_ptr<ResidualCorrector> corrector;
-  DriftDetector detector;
-  DriftStage stage = DriftStage::kHealthy;
+  std::unique_ptr<DriftDetector> detector;
   std::atomic<int> stage_atomic{0};
   std::chrono::steady_clock::time_point stage_since{};
   // Feedback rings: producers move preallocated slots free -> pending;
@@ -158,7 +157,6 @@ ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
                      "serve: queue_capacity must be >= 1");
   CONFCARD_CHECK_MSG(options_.degraded_inflation >= 1.0,
                      "serve: degraded_inflation must be >= 1");
-  inflated_delta_ = conformal.delta() * options_.degraded_inflation;
   if (options_.feedback) {
     CONFCARD_CHECK_MSG(options_.feedback_capacity >= 1,
                        "serve: feedback_capacity must be >= 1");
@@ -166,8 +164,6 @@ ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
                        "serve: recal_window must be >= 1");
     CONFCARD_CHECK_MSG(options_.drift_inflation >= 1.0,
                        "serve: drift_inflation must be >= 1");
-    // The ladder measures dips against the predictor's own target.
-    options_.detector.nominal_coverage = 1.0 - conformal.alpha();
   }
   breaker_shed_depth_ = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(options_.queue_capacity) *
@@ -195,7 +191,9 @@ ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
           std::make_unique<OnlineConformal>(conformal.scoring_ptr(), ro);
       shard->corrector =
           std::make_unique<ResidualCorrector>(options_.corrector);
-      shard->detector = DriftDetector(options_.detector);
+      // The ladder measures dips against the predictor's own target.
+      shard->detector = std::make_unique<DriftDetector>(
+          1.0 - conformal.alpha(), options_.detector);
       shard->stage_since = SteadyClock::now();
       const size_t fc = options_.feedback_capacity;
       shard->fb_slots.resize(fc);
@@ -308,7 +306,6 @@ void ServeFrontEnd::ApplyStageTransition(Shard* shard, DriftStage from,
   metrics_.drift_time_in_stage_us.Record(
       MicrosBetween(shard->stage_since, now));
   shard->stage_since = now;
-  shard->stage = to;
   shard->stage_atomic.store(static_cast<int>(to), std::memory_order_release);
   if (static_cast<int>(to) > static_cast<int>(from)) {
     metrics_.drift_up.Increment();
@@ -320,10 +317,8 @@ void ServeFrontEnd::ApplyStageTransition(Shard* shard, DriftStage from,
       shard->corrector->Reset();
       metrics_.drift_recalibrations.Increment();
     }
-    if (to == DriftStage::kBreak) shard->guard->ForceBreaker(true);
   } else {
     metrics_.drift_down.Increment();
-    if (from == DriftStage::kBreak) shard->guard->ForceBreaker(false);
   }
   obs::EventLog& elog = obs::EventLog::Instance();
   if (elog.enabled()) {
@@ -355,8 +350,8 @@ void ServeFrontEnd::FeedOne(Shard* shard, const Query& query,
   // The recalibrator scores what we would have served (post-correction),
   // so its quantile calibrates the intervals actually produced.
   shard->recal->Observe(served, truth);
-  const DriftStage before = shard->detector.stage();
-  const DriftStage after = shard->detector.Update(
+  const DriftStage before = shard->detector->stage();
+  const DriftStage after = shard->detector->Update(
       shard->recal->rolling_coverage(), shard->recal->score_drift(),
       shard->recal->rolling_observations());
   if (after != before) ApplyStageTransition(shard, before, after);
@@ -370,21 +365,17 @@ void ServeFrontEnd::ApplyFeedback(Shard* shard) {
   const size_t cap = options_.feedback_capacity;
   size_t k = 0;
   do {
-    // Estimate with the tier currently serving (the recalibrator must
-    // score the estimates clients are getting), one observation at a
-    // time so the adaptive trajectory — corrector, recalibrator,
-    // detector, and the tier each estimate used — is a pure function of
-    // the per-shard feedback sequence, not of how micro-batch timing
-    // happened to group the applications (EstimateBatchGuarded is
-    // bit-identical at any partition, so n=1 loses nothing).
+    // Estimate as the serving path does (the recalibrator must score the
+    // estimates clients are getting), one observation at a time so the
+    // adaptive trajectory — corrector, recalibrator, detector — is a
+    // pure function of the per-shard feedback sequence, not of how
+    // micro-batch timing happened to group the applications
+    // (EstimateBatchGuarded is bit-identical at any partition, so n=1
+    // loses nothing).
     GuardedEstimate ge;
-    if (shard->stage >= DriftStage::kFallback) {
-      shard->guard->EstimateFallbackTier(&slot->query, 1, &ge);
-    } else {
-      shard->guard->EstimateBatchGuarded(&slot->query, 1, &ge,
-                                         /*order_key_base=*/0,
-                                         &shard->fb_scratch);
-    }
+    shard->guard->EstimateBatchGuarded(&slot->query, 1, &ge,
+                                       /*order_key_base=*/0,
+                                       &shard->fb_scratch);
     FeedOne(shard, slot->query, ge, slot->truth);
     shard->fb_free->TryPush(slot);
     ++k;
@@ -479,16 +470,9 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
   for (size_t i = 0; i < m; ++i) {
     shard->queries[i] = shard->batch[i]->query;
   }
-  if (options_.feedback && shard->stage >= DriftStage::kFallback) {
-    // Ladder stage 3+: the learned primary is no longer trusted; serve
-    // the histogram-AVI tier directly.
-    shard->guard->EstimateFallbackTier(shard->queries.data(), m,
-                                       shard->outs.data());
-  } else {
-    shard->guard->EstimateBatchGuarded(shard->queries.data(), m,
-                                       shard->outs.data(),
-                                       /*order_key_base=*/0, &shard->scratch);
-  }
+  shard->guard->EstimateBatchGuarded(shard->queries.data(), m,
+                                     shard->outs.data(),
+                                     /*order_key_base=*/0, &shard->scratch);
   if (options_.feedback) {
     // Learned point-estimate correction (primary-sourced answers only).
     for (size_t i = 0; i < m; ++i) {
@@ -516,25 +500,21 @@ void ServeFrontEnd::Publish(Request* request, const GuardedEstimate& estimate,
                             SteadyClock::time_point completed) const {
   Response& resp = request->response;
   resp.estimate = estimate.value;
-  Interval iv;
+  // With feedback on, the shard's sliding-window recalibrator sets delta
+  // once its quantile is finite (the frozen SplitConformal's delta until
+  // then) and the ladder's kInflate stage widens every interval by
+  // drift_inflation. Degraded answers widen by degraded_inflation.
+  double delta = conformal_->delta();
+  double inflation = estimate.degraded ? options_.degraded_inflation : 1.0;
   if (options_.feedback) {
-    // Intervals come from the shard's sliding-window recalibrator (the
-    // frozen SplitConformal only seeds the delta until feedback
-    // arrives), degraded answers widen by degraded_inflation, and the
-    // ladder's kInflate+ stages widen everything by drift_inflation.
-    double delta = shard.recal->delta();
-    if (std::isinf(delta)) delta = conformal_->delta();
-    double inflation = estimate.degraded ? options_.degraded_inflation : 1.0;
-    if (shard.stage >= DriftStage::kInflate) {
+    const double recal_delta = shard.recal->delta();
+    if (!std::isinf(recal_delta)) delta = recal_delta;
+    if (shard.detector->stage() == DriftStage::kInflate) {
       inflation *= options_.drift_inflation;
     }
-    iv = scoring_->Invert(estimate.value, delta * inflation);
-  } else {
-    iv = estimate.degraded
-             ? scoring_->Invert(estimate.value, inflated_delta_)
-             : conformal_->Predict(estimate.value);
   }
-  iv = ClipToCardinality(iv, num_rows_);
+  const Interval iv = ClipToCardinality(
+      scoring_->Invert(estimate.value, delta * inflation), num_rows_);
   resp.lo = iv.lo;
   resp.hi = iv.hi;
   resp.degraded = estimate.degraded;
@@ -594,9 +574,9 @@ void ServeFrontEnd::Stop() {
     if (shard->worker.joinable()) shard->worker.join();
   }
   // Serve any stragglers that slipped in behind a worker's exit check
-  // on this thread, through the worker's own batch cycle (drift tier,
-  // residual correction, batch size) — Stop() returns only after every
-  // accepted request has a published response.
+  // on this thread, through the worker's own batch cycle (residual
+  // correction, batch size) — Stop() returns only after every accepted
+  // request has a published response.
   for (auto& shard : shards_) {
     Request* first = nullptr;
     while (shard->queue.TryPop(&first)) {
@@ -608,11 +588,6 @@ void ServeFrontEnd::Stop() {
     // Observe() rejects once stopping_, and the ring holds at most one
     // capacity's worth, so one drain pass empties it.
     ApplyFeedback(shard.get());
-    // The guards outlive this front-end; do not leave a drift-forced
-    // breaker latched into whatever serves from them next.
-    if (options_.feedback && shard->guard->breaker_forced()) {
-      shard->guard->ForceBreaker(false);
-    }
   }
 }
 

@@ -29,9 +29,11 @@
 // feedback ring; each worker drains its ring at micro-batch boundaries
 // into a sliding-window OnlineConformal recalibrator (intervals adapt),
 // an AQO-style feature-subspace residual corrector (point estimates
-// adapt), and a staged drift detector (recalibrate → inflate →
-// fallback tier → forced breaker) whose transitions are recorded as
-// "type":"drift" events and serve.drift.* metrics.
+// adapt), and a staged drift detector (healthy → recalibrate → inflate)
+// whose transitions are recorded as "type":"drift" events and
+// serve.drift.* metrics. The loop only reads the guards: every stage
+// keeps serving from the guard's primary, and no stage touches its
+// breaker.
 #ifndef CONFCARD_SERVE_SERVE_H_
 #define CONFCARD_SERVE_SERVE_H_
 
@@ -157,10 +159,10 @@ class ServeFrontEnd {
     /// Rolling-monitor horizon feeding the drift detector.
     size_t monitor_window = 256;
     /// Extra interval-width multiplier while the ladder is at kInflate
-    /// or beyond (composes with degraded_inflation).
+    /// (composes with degraded_inflation).
     double drift_inflation = 2.0;
-    /// Ladder thresholds. nominal_coverage is overwritten with
-    /// 1 - alpha from the conformal predictor at construction.
+    /// Ladder thresholds; dips are measured against 1 - alpha of the
+    /// conformal predictor.
     DriftDetectorOptions detector;
     /// Residual-corrector knobs (AQO-style executed-query feedback).
     ResidualCorrector::Options corrector;
@@ -263,7 +265,6 @@ class ServeFrontEnd {
   std::vector<std::unique_ptr<Shard>> shards_;
   const SplitConformal* conformal_;
   const ScoringFunction* scoring_;
-  double inflated_delta_ = 0.0;
   double num_rows_ = 0.0;
   Options options_;
   size_t breaker_shed_depth_ = 0;

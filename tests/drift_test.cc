@@ -199,6 +199,15 @@ TEST(OnlineWindowTest, ResetWindowToKeepsNewestScores) {
   EXPECT_TRUE(std::isinf(oc.delta()));
 }
 
+// Only the windowed recalibrator keeps arrival order; the unbounded one
+// has nothing to reset to.
+TEST(OnlineWindowDeathTest, ResetWindowToNeedsAWindow) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  OnlineConformal oc(MakeScoring(ScoreKind::kResidual), WindowedOpts(0));
+  oc.Observe(0.0, 1.0);
+  EXPECT_DEATH(oc.ResetWindowTo(1), "windowed OnlineConformal");
+}
+
 TEST(OnlineWindowTest, WindowedObserveIsAllocationFree) {
   OnlineConformal oc(MakeScoring(ScoreKind::kQError), WindowedOpts(32, 0.1));
   for (int i = 0; i < 64; ++i) {
@@ -316,55 +325,57 @@ TEST(ResidualCorrectorTest, EvictsLowestCountWhenFull) {
 
 serve::DriftDetectorOptions DetOpts() {
   serve::DriftDetectorOptions o;
-  o.nominal_coverage = 0.9;
   o.min_observations = 4;
   o.recovery_hold = 3;
   return o;
 }
 
 TEST(DriftDetectorTest, SilentBelowMinObservations) {
-  serve::DriftDetector d(DetOpts());
+  serve::DriftDetector d(0.9, DetOpts());
   EXPECT_EQ(d.Update(0.0, 10.0, 2), serve::DriftStage::kHealthy);
   EXPECT_EQ(d.stage(), serve::DriftStage::kHealthy);
 }
 
 TEST(DriftDetectorTest, EscalatesImmediatelyToMatchingStage) {
-  serve::DriftDetector d(DetOpts());
-  // Coverage dip of 0.2 >= fallback_dip (0.15): jump straight to
-  // kFallback without passing through the intermediate stages.
-  EXPECT_EQ(d.Update(0.7, 1.0, 100), serve::DriftStage::kFallback);
+  serve::DriftDetector d(0.9, DetOpts());
+  // Coverage dip of 0.1 >= inflate_dip (0.08): jump straight to
+  // kInflate without passing through kRecalibrate.
+  EXPECT_EQ(d.Update(0.8, 1.0, 100), serve::DriftStage::kInflate);
   EXPECT_EQ(d.escalations(), 1u);
-  // A deeper dip escalates further.
-  EXPECT_EQ(d.Update(0.5, 1.0, 100), serve::DriftStage::kBreak);
-  EXPECT_EQ(d.escalations(), 2u);
+  // kInflate is the top: a total collapse escalates no further.
+  EXPECT_EQ(d.Update(0.0, 10.0, 100), serve::DriftStage::kInflate);
+  EXPECT_EQ(d.escalations(), 1u);
 }
 
 TEST(DriftDetectorTest, ScoreDriftTriggersRecalibrateEarly) {
-  serve::DriftDetector d(DetOpts());
+  serve::DriftDetector d(0.9, DetOpts());
   // Coverage still nominal but residuals exploding.
   EXPECT_EQ(d.Update(0.9, 3.0, 100), serve::DriftStage::kRecalibrate);
 }
 
 TEST(DriftDetectorTest, DeescalatesOneStageAfterRecoveryHold) {
-  serve::DriftDetector d(DetOpts());
-  ASSERT_EQ(d.Update(0.5, 1.0, 100), serve::DriftStage::kBreak);
+  serve::DriftDetector d(0.9, DetOpts());
+  ASSERT_EQ(d.Update(0.5, 1.0, 100), serve::DriftStage::kInflate);
   // recovery_hold = 3 healthy observations step down exactly one stage.
-  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kBreak);
-  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kBreak);
-  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kFallback);
+  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kInflate);
+  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kInflate);
+  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kRecalibrate);
   EXPECT_EQ(d.deescalations(), 1u);
   // An unhealthy observation resets the streak.
-  EXPECT_EQ(d.Update(0.8, 1.0, 100), serve::DriftStage::kFallback);
-  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kFallback);
-  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kFallback);
-  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kInflate);
+  EXPECT_EQ(d.Update(0.88, 1.0, 100), serve::DriftStage::kRecalibrate);
+  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kRecalibrate);
+  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kRecalibrate);
+  EXPECT_EQ(d.Update(0.91, 1.0, 100), serve::DriftStage::kHealthy);
+  EXPECT_EQ(d.deescalations(), 2u);
 }
 
 TEST(DriftDetectorTest, StageNamesRender) {
   EXPECT_STREQ(serve::DriftStageToString(serve::DriftStage::kHealthy),
                "healthy");
-  EXPECT_STREQ(serve::DriftStageToString(serve::DriftStage::kBreak),
-               "break");
+  EXPECT_STREQ(serve::DriftStageToString(serve::DriftStage::kRecalibrate),
+               "recalibrate");
+  EXPECT_STREQ(serve::DriftStageToString(serve::DriftStage::kInflate),
+               "inflate");
 }
 
 }  // namespace

@@ -3,15 +3,19 @@
 // trajectory (including out-of-order cross-shard feedback and 1-vs-4
 // CONFCARD_THREADS), recalibration with a window of 1, an all-degraded
 // primary (every answer from the fallback chain) keeping the loop
-// functional, forced-breaker release on Stop, and the "shed":true JSONL
-// record satellite.
+// functional, the ladder topping out at kInflate on the primary with the
+// guard's breaker untouched, a golden drift-and-recover trajectory at 1
+// and 4 shards, and the "shed":true JSONL record satellite.
 #include "serve/serve.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -93,28 +97,36 @@ struct Served {
   double hi = 0.0;
   bool degraded = false;
   int source = 0;
+  /// The serving shard's ladder stage once the response is published.
+  int stage = 0;
 
-  bool operator==(const Served& other) const {
-    return estimate == other.estimate && lo == other.lo && hi == other.hi &&
-           degraded == other.degraded && source == other.source;
-  }
+  bool operator==(const Served& other) const = default;
 };
 
-// Lockstep submit -> wait -> Observe over the fixture workload, cycled
-// `rounds` times so the recalibrator sees a long stream.
-std::vector<Served> RunLockstep(ServeFrontEnd* front, const Workload& wl,
-                                int rounds) {
-  std::vector<Served> served;
+// Submits `query` and waits for its response. With one request in
+// flight, the serving shard's stage cannot move until the next submit.
+Served Serve(ServeFrontEnd* front, const Query& query) {
   Request r;
+  r.query = query;
+  front->Submit(&r);
+  r.Wait();
+  const Response& resp = r.response;
+  return {resp.estimate, resp.lo, resp.hi, resp.degraded, resp.source,
+          static_cast<int>(front->ShardStage(resp.shard))};
+}
+
+// Lockstep submit -> wait -> Observe over the fixture workload, cycled
+// `rounds` times so the recalibrator sees a long stream. When given,
+// `truth(round, i)` is what query i reports back in `round`.
+std::vector<Served> RunLockstep(
+    ServeFrontEnd* front, const Workload& wl, int rounds,
+    const std::function<double(int, size_t)>& truth = nullptr) {
+  std::vector<Served> served;
   for (int round = 0; round < rounds; ++round) {
-    for (const LabeledQuery& lq : wl) {
-      r.Reset();
-      r.query = lq.query;
-      front->Submit(&r);
-      r.Wait();
-      served.push_back({r.response.estimate, r.response.lo, r.response.hi,
-                        r.response.degraded, r.response.source});
-      front->Observe(lq.query, lq.cardinality);
+    for (size_t i = 0; i < wl.size(); ++i) {
+      served.push_back(Serve(front, wl[i].query));
+      front->Observe(wl[i].query,
+                     truth ? truth(round, i) : wl[i].cardinality);
     }
   }
   return served;
@@ -150,12 +162,9 @@ TEST(ServeFeedbackTest, WarmupSeedsHealthyStage) {
   front.WarmupFeedback(f.base.workload);
   EXPECT_EQ(front.ShardStage(0), DriftStage::kHealthy);
   // A served request after warmup gets a finite adaptive interval.
-  Request r;
-  r.query = f.base.workload[0].query;
-  front.Submit(&r);
-  r.Wait();
-  EXPECT_FALSE(std::isinf(r.response.hi));
-  EXPECT_LE(r.response.lo, r.response.hi);
+  const Served s = Serve(&front, f.base.workload[0].query);
+  EXPECT_FALSE(std::isinf(s.hi));
+  EXPECT_LE(s.lo, s.hi);
   front.Stop();
 }
 
@@ -192,17 +201,11 @@ TEST(ServeFeedbackTest, CrossShardFeedbackOrderIsIndependent) {
                         f.FeedbackOptions());
     front.WarmupFeedback(f.base.workload);
     std::vector<Served> served;
-    Request r;
     for (int round = 0; round < 3; ++round) {
       // Serve the whole round first (estimates only depend on frozen
       // models), then feed truths back in the chosen global order.
       for (const LabeledQuery& lq : f.base.workload) {
-        r.Reset();
-        r.query = lq.query;
-        front.Submit(&r);
-        r.Wait();
-        served.push_back({r.response.estimate, r.response.lo, r.response.hi,
-                          r.response.degraded, r.response.source});
+        served.push_back(Serve(&front, lq.query));
       }
       if (grouped_by_shard) {
         for (int shard = 0; shard < front.num_shards(); ++shard) {
@@ -219,12 +222,7 @@ TEST(ServeFeedbackTest, CrossShardFeedbackOrderIsIndependent) {
       // Quiesce: one served request per shard forces every worker
       // through a batch boundary, applying the queued feedback before
       // the next round's responses.
-      for (const LabeledQuery& lq : f.base.workload) {
-        r.Reset();
-        r.query = lq.query;
-        front.Submit(&r);
-        r.Wait();
-      }
+      for (const LabeledQuery& lq : f.base.workload) Serve(&front, lq.query);
     }
     front.Stop();
     return served;
@@ -297,19 +295,7 @@ TEST(ServeFeedbackTest, AllDegradedWindowKeepsAdapting) {
   ServeFrontEnd front({&guard}, scp,
                       static_cast<double>(base.table.num_rows()), o);
   front.WarmupFeedback(base.workload);
-  std::vector<Served> served;
-  Request r;
-  for (int round = 0; round < 3; ++round) {
-    for (const LabeledQuery& lq : base.workload) {
-      r.Reset();
-      r.query = lq.query;
-      front.Submit(&r);
-      r.Wait();
-      served.push_back({r.response.estimate, r.response.lo, r.response.hi,
-                        r.response.degraded, r.response.source});
-      front.Observe(lq.query, lq.cardinality);
-    }
-  }
+  const std::vector<Served> served = RunLockstep(&front, base.workload, 3);
   front.Stop();
   fault::Registry::Instance().Clear();
   for (const Served& s : served) {
@@ -319,30 +305,81 @@ TEST(ServeFeedbackTest, AllDegradedWindowKeepsAdapting) {
   }
 }
 
-// A ladder that forced the breaker open must not leave the shared guard
-// latched after the front-end is gone (guards outlive front-ends).
-TEST(ServeFeedbackTest, StopReleasesForcedBreaker) {
+// Truths pinned at N over a 64-query monitor horizon, where each miss
+// deepens the coverage dip four times as much as at the default 256,
+// push the ladder as far as it goes. It tops out at kInflate, every
+// answer stays on the primary, and the front-end never touches the
+// guard's breaker (guards outlive front-ends and other callers may share
+// them).
+TEST(ServeFeedbackTest, PinnedTruthsTopOutAtInflateOnThePrimary) {
   FeedbackFixture f;
-  {
-    ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, f.FeedbackOptions());
+  ServeFrontEnd::Options o = f.FeedbackOptions();
+  o.monitor_window = 64;
+  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, o);
+  front.WarmupFeedback(f.base.workload);
+  int breaker_open = 0;
+  // Runs once per response, so it also samples the breaker mid-run.
+  const auto pinned_at_n = [&f, &breaker_open](int, size_t) {
+    breaker_open += f.guard.breaker_open() ? 1 : 0;
+    return f.num_rows;
+  };
+  const std::vector<Served> served =
+      RunLockstep(&front, f.base.workload, 8, pinned_at_n);
+  front.Stop();
+  int max_stage = 0;
+  int off_primary = 0;
+  for (const Served& s : served) {
+    max_stage = std::max(max_stage, s.stage);
+    if (s.source != 0 || s.degraded) ++off_primary;
+  }
+  EXPECT_EQ(max_stage, static_cast<int>(DriftStage::kInflate));
+  EXPECT_EQ(off_primary, 0);
+  EXPECT_EQ(breaker_open, 0);
+  EXPECT_FALSE(f.guard.breaker_open());
+}
+
+// Golden ladder trajectory at 1 and 4 shards (the four share one guard).
+// In rounds 2-7 every fourth query's truth is scaled by 10 (plus 1),
+// which dips rolling coverage past inflate_dip; then the truths are
+// exact again and every shard steps back down to kHealthy. The hashes,
+// FNV-1a over the bits of every response's estimate, lo, hi, degraded,
+// source and stage, were recorded with the five-stage ladder, which this
+// stream never takes past kInflate.
+TEST(ServeFeedbackTest, DriftAndRecoverTrajectoryMatchesGolden) {
+  FeedbackFixture f;
+  const auto drift_then_recover = [&f](int round, size_t i) {
+    const double truth = f.base.workload[i].cardinality;
+    return round >= 2 && round < 8 && i % 4 == 0 ? truth * 10.0 + 1.0 : truth;
+  };
+  for (const auto& [shards, golden] : {std::pair{1, 0x342873b1373ff615ull},
+                                       std::pair{4, 0x434f58f61f2302b6ull}}) {
+    SCOPED_TRACE(shards);
+    ServeFrontEnd front(std::vector<const GuardedEstimator*>(shards, &f.guard),
+                        f.scp, f.num_rows, f.FeedbackOptions());
     front.WarmupFeedback(f.base.workload);
-    // Feed wildly wrong truths: coverage collapses, the ladder climbs
-    // to kBreak, and the guard's breaker is forced open.
-    Request r;
-    for (int round = 0; round < 8; ++round) {
-      for (const LabeledQuery& lq : f.base.workload) {
-        r.Reset();
-        r.query = lq.query;
-        front.Submit(&r);
-        r.Wait();
-        front.Observe(lq.query, f.num_rows);  // truth pinned at N
+    const std::vector<Served> served =
+        RunLockstep(&front, f.base.workload, 32, drift_then_recover);
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_EQ(front.ShardStage(s), DriftStage::kHealthy);
+    }
+    front.Stop();
+    int max_stage = 0;
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const Served& s : served) {
+      max_stage = std::max(max_stage, s.stage);
+      for (const uint64_t v :
+           {std::bit_cast<uint64_t>(s.estimate), std::bit_cast<uint64_t>(s.lo),
+            std::bit_cast<uint64_t>(s.hi), static_cast<uint64_t>(s.degraded),
+            static_cast<uint64_t>(s.source), static_cast<uint64_t>(s.stage)}) {
+        for (int shift = 0; shift < 64; shift += 8) {
+          hash ^= (v >> shift) & 0xFFull;
+          hash *= 0x100000001b3ull;
+        }
       }
     }
-    EXPECT_GT(static_cast<int>(front.ShardStage(0)), 0);
-    front.Stop();
+    EXPECT_EQ(max_stage, static_cast<int>(DriftStage::kInflate));
+    EXPECT_EQ(hash, golden) << std::hex << "0x" << hash << "ull";
   }
-  EXPECT_FALSE(f.guard.breaker_forced());
-  EXPECT_FALSE(f.guard.breaker_open());
 }
 
 // Satellite: shed responses leave a "shed":true record in the JSONL

@@ -19,16 +19,18 @@
 # layers_test, optimizer_nn_test, mscn_model_test: the register-tiled
 # GEMMs with their tile tails and packed-term buffers, the vector Adam
 # step and the parameter-only backward). A clean exit means the
-# sanitizer saw no races (tsan) or memory errors (asan) in the hot-path
+# sanitizer saw no races (tsan), memory errors (asan) or undefined
+# behaviour (ubsan) in the hot-path
 # record/merge/sample/serve/guard/harness/kernel code.
 #
-# Usage: tools/run_tsan_obs.sh [preset]   (default: tsan)
+# Usage: tools/run_tsan_obs.sh [tsan|asan|ubsan]   (default: tsan)
 #
 # The argument is a CMakePresets.json preset name. `tsan` is the
 # historical default; `asan` runs the same labeled suite under
 # AddressSanitizer with the real tensor arena, which poisons parked
 # buffers so a use of tensor storage after its release is still
-# reported.
+# reported; `ubsan` runs it under UndefinedBehaviorSanitizer with
+# recovery off, so the first report fails its test.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
