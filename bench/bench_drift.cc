@@ -363,33 +363,34 @@ OpenLoopResult RunOpenLoopDrift(const Stack& stack, const Scenario& sc,
                       FrontOptions(/*feedback=*/true, stream.size()));
   front.WarmupFeedback(stack.splits.calib);
   std::deque<Request> requests(stream.size());
+  std::vector<Rec> recs;
+  recs.reserve(stream.size());
+  // Harvests the oldest unharvested response: records the serving
+  // shard's stage as it stands before this query's truth is fed back,
+  // as the closed loop does.
+  const auto harvest = [&] {
+    const size_t i = recs.size();
+    const serve::Response& resp = requests[i].response;
+    recs.push_back({resp.estimate, resp.lo, resp.hi, resp.degraded, resp.shed,
+                    resp.source,
+                    static_cast<int>(front.ShardStage(
+                        resp.shard >= 0 ? resp.shard : 0))});
+    front.Observe(stream[i].query, stream[i].cardinality);
+  };
   Rng rng(seed);
   const SteadyClock::time_point start = SteadyClock::now();
   double arrival_us = 0.0;
-  size_t obs_cursor = 0;
   for (size_t i = 0; i < stream.size(); ++i) {
     arrival_us += -std::log1p(-rng.NextDouble()) * 1e6 / offered_qps;
     std::this_thread::sleep_until(
         start + std::chrono::microseconds(static_cast<int64_t>(arrival_us)));
     requests[i].query = stream[i].query;
     front.Submit(&requests[i]);
-    while (obs_cursor < i && requests[obs_cursor].done()) {
-      front.Observe(stream[obs_cursor].query, stream[obs_cursor].cardinality);
-      ++obs_cursor;
-    }
+    while (recs.size() < i && requests[recs.size()].done()) harvest();
   }
-  for (; obs_cursor < stream.size(); ++obs_cursor) {
-    requests[obs_cursor].Wait();
-    front.Observe(stream[obs_cursor].query, stream[obs_cursor].cardinality);
-  }
-  std::vector<Rec> recs;
-  recs.reserve(stream.size());
-  for (size_t i = 0; i < stream.size(); ++i) {
-    const serve::Response& resp = requests[i].response;
-    recs.push_back({resp.estimate, resp.lo, resp.hi, resp.degraded, resp.shed,
-                    resp.source,
-                    static_cast<int>(front.ShardStage(
-                        resp.shard >= 0 ? resp.shard : 0))});
+  while (recs.size() < stream.size()) {
+    requests[recs.size()].Wait();
+    harvest();
   }
   front.Stop();
   OpenLoopResult r;
@@ -560,6 +561,13 @@ int Main() {
     w.Key("recalibrate_dip").Number(fo.detector.recalibrate_dip);
     w.Key("inflate_dip").Number(fo.detector.inflate_dip);
     w.Key("recovery_hold").Int(static_cast<uint64_t>(fo.detector.recovery_hold));
+    w.Key("recovered_within").Number(fo.detector.recovered_within);
+    w.EndObject();
+    w.Key("corrector").BeginObject();
+    w.Key("capacity").Int(static_cast<uint64_t>(fo.corrector.capacity));
+    w.Key("smoothing").Number(fo.corrector.smoothing);
+    w.Key("min_observations").Int(fo.corrector.min_observations);
+    w.Key("max_correction").Number(fo.corrector.max_correction);
     w.EndObject();
   }
   w.EndObject();

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
-#include <utility>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -136,22 +135,6 @@ ThreadPool::~ThreadPool() {
   }
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task(std::move(fn));
-  std::future<void> fut = task.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    CONFCARD_CHECK_MSG(!stop_, "ThreadPool::Submit after shutdown began");
-    queue_.push_back(std::move(task));
-    // Published under the lock: submits and pops serialize on mu_, so
-    // the gauge can never go backwards relative to the queue's true
-    // depth (the old publish-after-release pattern could).
-    depth_gauge_->Set(static_cast<double>(DepthLocked()));
-  }
-  cv_.notify_one();
-  return fut;
-}
-
 int ThreadPool::SubmitLoopHelpers(internal::LoopState* loop, int count) {
   int enqueued = 0;
   {
@@ -164,7 +147,9 @@ int ThreadPool::SubmitLoopHelpers(internal::LoopState* loop, int count) {
       ++ring_size_;
       ++enqueued;
     }
-    depth_gauge_->Set(static_cast<double>(DepthLocked()));
+    // Published under the lock: submits and pops serialize on mu_, so
+    // the gauge can never go backwards relative to the ring's depth.
+    depth_gauge_->Set(static_cast<double>(ring_size_));
   }
   if (enqueued == 1) {
     cv_.notify_one();
@@ -174,40 +159,23 @@ int ThreadPool::SubmitLoopHelpers(internal::LoopState* loop, int count) {
   return enqueued;
 }
 
-size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DepthLocked();
-}
-
 void ThreadPool::WorkerLoop(int worker_index) {
   obs::SetTraceThreadLabel("pool-worker-" + std::to_string(worker_index));
   obs::Counter& executed = obs::Metrics().GetCounter("pool.tasks_executed");
   obs::Counter& busy_us = obs::Metrics().GetCounter("pool.busy_us");
   for (;;) {
     internal::LoopState* loop = nullptr;
-    std::packaged_task<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock,
-               [this] { return stop_ || ring_size_ > 0 || !queue_.empty(); });
-      if (ring_size_ > 0) {
-        loop = ring_[ring_head_];
-        ring_head_ = (ring_head_ + 1) % ring_.size();
-        --ring_size_;
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop_front();
-      } else {
-        return;  // stop_ && drained
-      }
-      depth_gauge_->Set(static_cast<double>(DepthLocked()));
+      cv_.wait(lock, [this] { return stop_ || ring_size_ > 0; });
+      if (ring_size_ == 0) return;  // stop_ && drained
+      loop = ring_[ring_head_];
+      ring_head_ = (ring_head_ + 1) % ring_.size();
+      --ring_size_;
+      depth_gauge_->Set(static_cast<double>(ring_size_));
     }
     const double t0 = NowMicros();
-    if (loop != nullptr) {
-      RunLoopHelper(loop);
-    } else {
-      task();  // exceptions land in the task's future
-    }
+    RunLoopHelper(loop);
     busy_us.Increment(static_cast<uint64_t>(NowMicros() - t0));
     executed.Increment();
   }

@@ -30,9 +30,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <future>
+#include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -67,13 +65,11 @@ struct LoopState {
 
 }  // namespace internal
 
-/// Fixed-size worker pool. The hot path is SubmitLoopHelpers: helper
-/// slots for a ParallelFor are plain pointers pushed into a
-/// preallocated ring (the per-pool task slab), so steady-state dispatch
-/// performs zero heap allocations. Submit(std::function) remains as the
-/// cold-path API for standalone tasks and keeps its future/exception
-/// semantics. Destruction is graceful: every helper slot and task
-/// already queued is executed before the workers join. Publishes
+/// Fixed-size worker pool with one queue: helper slots for a
+/// ParallelFor are plain pointers pushed into a preallocated ring (the
+/// per-pool task slab), so steady-state dispatch performs zero heap
+/// allocations. Destruction is graceful: every helper slot already
+/// queued is executed before the workers join. Publishes
 /// scheduling telemetry under the "pool." metric prefix (see
 /// docs/OBSERVABILITY.md); those metrics are deliberately excluded from
 /// obsdiff gating because they vary with thread count by design.
@@ -81,18 +77,13 @@ class ThreadPool {
  public:
   /// Spawns `num_threads` workers (floored at 1).
   explicit ThreadPool(int num_threads);
-  /// Drains the queue (queued tasks still run), then joins all workers.
+  /// Runs every queued helper slot, then joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues `fn`; the future resolves when it completes and carries
-  /// any exception it threw. Must not be called during/after
-  /// destruction. Cold path: allocates for the task's shared state.
-  std::future<void> Submit(std::function<void()> fn);
 
   /// Enqueues up to `count` helper slots for `loop` into the
   /// preallocated ring; returns how many were actually enqueued (fewer
@@ -102,14 +93,10 @@ class ThreadPool {
   /// blocking on loop->done_cv).
   int SubmitLoopHelpers(internal::LoopState* loop, int count);
 
-  /// Tasks and helper slots currently queued (not yet started).
-  size_t queue_depth() const;
-
  private:
   void WorkerLoop(int worker_index);
-  size_t DepthLocked() const { return ring_size_ + queue_.size(); }
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
   // FIFO ring of loop helper slots; capacity fixed at construction so
@@ -117,7 +104,6 @@ class ThreadPool {
   std::vector<internal::LoopState*> ring_;
   size_t ring_head_ = 0;
   size_t ring_size_ = 0;
-  std::deque<std::packaged_task<void()>> queue_;  // cold Submit path
   std::vector<std::thread> workers_;
   obs::Gauge* depth_gauge_ = nullptr;
   double start_micros_ = 0.0;

@@ -16,8 +16,7 @@ OnlineConformal::OnlineConformal(
     : scoring_(std::move(scoring)),
       options_(std::move(options)),
       coverage_window_(options_.monitor_window),
-      width_window_(options_.monitor_window),
-      score_window_(options_.monitor_window) {
+      width_window_(options_.monitor_window) {
   CONFCARD_CHECK(scoring_ != nullptr);
   CONFCARD_CHECK(options_.alpha > 0.0 && options_.alpha < 1.0);
   if (options_.window > 0) {
@@ -39,13 +38,6 @@ Status OnlineConformal::Warmup(const std::vector<double>& estimates,
   return Status::OK();
 }
 
-double OnlineConformal::score_drift() const {
-  if (observed_ == 0) return 1.0;
-  const double lifetime_mean = score_sum_ / static_cast<double>(observed_);
-  if (lifetime_mean <= 0.0) return 1.0;
-  return score_window_.Mean() / lifetime_mean;
-}
-
 void OnlineConformal::Observe(double estimate, double truth) {
   static obs::Counter& observations =
       obs::Metrics().GetCounter("conformal.online.observations");
@@ -64,8 +56,6 @@ void OnlineConformal::Observe(double estimate, double truth) {
 
   observations.Increment();
   const double score = scoring_->Score(estimate, truth);
-  score_window_.Push(score);
-  score_sum_ += score;
   ++observed_;
 
   sorted_.insert(std::lower_bound(sorted_.begin(), sorted_.end(), score),
@@ -97,12 +87,9 @@ void OnlineConformal::Observe(double estimate, double truth) {
         obs::Metrics().GetGauge("conformal.online.rolling_coverage");
     static obs::Gauge& rolling_width =
         obs::Metrics().GetGauge("conformal.online.rolling_width");
-    static obs::Gauge& drift =
-        obs::Metrics().GetGauge("conformal.online.score_drift");
     occupancy.Set(static_cast<double>(size()));
     rolling_cov.Set(coverage_window_.Mean());
     if (width_window_.size() > 0) rolling_width.Set(width_window_.Mean());
-    drift.Set(score_drift());
   }
 
   if (log_events) {

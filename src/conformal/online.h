@@ -7,10 +7,10 @@
 //
 // Observe() additionally publishes rolling monitors through the metrics
 // registry — prequential coverage and mean width over the last
-// `monitor_window` observations, a residual-drift gauge, window
-// occupancy, and eviction counts — so the Fig. 8/11 shift experiments
-// expose their degradation live instead of only in final tables. See
-// docs/OBSERVABILITY.md ("conformal.online.*").
+// `monitor_window` observations, window occupancy, and eviction counts —
+// so the Fig. 8/11 shift experiments expose their degradation live
+// instead of only in final tables. See docs/OBSERVABILITY.md
+// ("conformal.online.*").
 //
 // Windowed instances are allocation-free after construction: the recency
 // order lives in a fixed ring buffer and the sorted multiset in a vector
@@ -41,8 +41,8 @@ class OnlineConformal {
     double alpha = 0.1;
     /// Keep at most this many most-recent scores (0 = unbounded).
     size_t window = 0;
-    /// Rolling-monitor horizon: coverage/width/drift gauges average over
-    /// this many most-recent observations.
+    /// Rolling-monitor horizon: coverage/width gauges average over this
+    /// many most-recent observations.
     size_t monitor_window = 256;
     /// Label recorded as the `model` field of per-query events emitted
     /// from Observe (the estimator is not visible at this layer).
@@ -91,9 +91,6 @@ class OnlineConformal {
   size_t rolling_observations() const { return coverage_window_.size(); }
   /// Mean finite interval width over the same horizon.
   double rolling_width() const { return width_window_.Mean(); }
-  /// Rolling mean score divided by lifetime mean score (~1 when the
-  /// stream is stationary; rises under residual drift).
-  double score_drift() const;
 
   const Options& options() const { return options_; }
   const ScoringFunction& scoring() const { return *scoring_; }
@@ -116,9 +113,7 @@ class OnlineConformal {
   // Rolling monitors (prequential: judged before the update).
   obs::RollingWindow coverage_window_;
   obs::RollingWindow width_window_;
-  obs::RollingWindow score_window_;
   uint64_t observed_ = 0;
-  double score_sum_ = 0.0;
 };
 
 }  // namespace confcard

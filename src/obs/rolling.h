@@ -1,13 +1,13 @@
 // Fixed-capacity rolling window over doubles: O(1) push, O(1) mean.
-// Backs the online monitors (windowed coverage, mean width, score drift)
-// published from OnlineConformal::Observe, where a full re-scan per
-// observation would be too expensive for the Fig. 8/11 streams. The
+// Backs the online monitors (windowed coverage and mean width) published
+// from OnlineConformal::Observe, where a full re-scan per observation
+// would be too expensive for the Fig. 8/11 streams. The
 // running sum is recomputed from the buffer once per wrap-around so
 // floating-point drift stays bounded on long streams.
 //
 // Thread safety: all operations serialize on an internal mutex, so a
 // window shared between an observer thread and a monitor/snapshot reader
-// is race-free (and TSan-clean). The online path pushes a handful of
+// is race-free (and TSan-clean). The online path pushes at most two
 // values per observed query, so an uncontended lock is noise next to the
 // conformal update itself; values read after all writers have joined (or
 // otherwise synchronized) are deterministic because Push order fully

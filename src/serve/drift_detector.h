@@ -1,7 +1,8 @@
 // Staged degradation ladder for serving under data drift. The detector
-// watches the per-shard recalibrator's rolling prequential monitors
-// (coverage dip below nominal, residual score drift) and maps them onto
-// an escalating response:
+// watches one signal, the per-shard recalibrator's rolling prequential
+// coverage (the share of fed-back truths inside the interval the shard
+// would have served just before each update), and maps its dip below
+// nominal onto an escalating response:
 //
 //   kHealthy      →  serve normally
 //   kRecalibrate  →  shrink the calibration window to recent scores and
@@ -22,7 +23,6 @@
 #define CONFCARD_SERVE_DRIFT_DETECTOR_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace confcard {
 namespace serve {
@@ -51,9 +51,6 @@ struct DriftDetectorOptions {
   /// Coverage dip (nominal - rolling) that triggers each stage.
   double recalibrate_dip = 0.03;
   double inflate_dip = 0.08;
-  /// Rolling/lifetime score ratio that triggers kRecalibrate even while
-  /// coverage still looks nominal (drift shows in residuals first).
-  double score_drift_ratio = 2.0;
   /// Consecutive healthy observations before stepping down one stage.
   size_t recovery_hold = 96;
   /// "Healthy" = rolling coverage within this of nominal (or above).
@@ -72,21 +69,18 @@ class DriftDetector {
   /// Folds one prequential observation's monitor state into the ladder
   /// and returns the (possibly changed) stage. `observations` is the
   /// rolling window's current occupancy.
-  DriftStage Update(double rolling_coverage, double score_drift,
-                    size_t observations) {
+  DriftStage Update(double rolling_coverage, size_t observations) {
     if (observations < options_.min_observations) return stage_;
     const double dip = nominal_coverage_ - rolling_coverage;
     DriftStage target = DriftStage::kHealthy;
     if (dip >= options_.inflate_dip) {
       target = DriftStage::kInflate;
-    } else if (dip >= options_.recalibrate_dip ||
-               score_drift >= options_.score_drift_ratio) {
+    } else if (dip >= options_.recalibrate_dip) {
       target = DriftStage::kRecalibrate;
     }
     if (static_cast<int>(target) > static_cast<int>(stage_)) {
       stage_ = target;   // escalate immediately, as far as the dip says
       healthy_streak_ = 0;
-      ++escalations_;
       return stage_;
     }
     if (dip <= options_.recovered_within) {
@@ -94,7 +88,6 @@ class DriftDetector {
           stage_ != DriftStage::kHealthy) {
         stage_ = static_cast<DriftStage>(static_cast<int>(stage_) - 1);
         healthy_streak_ = 0;
-        ++deescalations_;
       }
     } else {
       healthy_streak_ = 0;
@@ -103,19 +96,12 @@ class DriftDetector {
   }
 
   DriftStage stage() const { return stage_; }
-  /// Lifetime stage transitions (up / down).
-  uint64_t escalations() const { return escalations_; }
-  uint64_t deescalations() const { return deescalations_; }
-
-  const DriftDetectorOptions& options() const { return options_; }
 
  private:
   double nominal_coverage_;
   DriftDetectorOptions options_;
   DriftStage stage_ = DriftStage::kHealthy;
   size_t healthy_streak_ = 0;
-  uint64_t escalations_ = 0;
-  uint64_t deescalations_ = 0;
 };
 
 }  // namespace serve

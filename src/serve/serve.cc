@@ -329,7 +329,6 @@ void ServeFrontEnd::ApplyStageTransition(Shard* shard, DriftStage from,
     w.Key("from").String(DriftStageToString(from));
     w.Key("to").String(DriftStageToString(to));
     w.Key("coverage").Number(shard->recal->rolling_coverage());
-    w.Key("score_drift").Number(shard->recal->score_drift());
     w.Key("observed").Int(static_cast<int64_t>(shard->recal->observed()));
     w.EndObject();
     elog.AppendRecord(w.TakeString());
@@ -352,8 +351,7 @@ void ServeFrontEnd::FeedOne(Shard* shard, const Query& query,
   shard->recal->Observe(served, truth);
   const DriftStage before = shard->detector->stage();
   const DriftStage after = shard->detector->Update(
-      shard->recal->rolling_coverage(), shard->recal->score_drift(),
-      shard->recal->rolling_observations());
+      shard->recal->rolling_coverage(), shard->recal->rolling_observations());
   if (after != before) ApplyStageTransition(shard, before, after);
 }
 

@@ -174,7 +174,7 @@ TEST(EventLogSmokeTest, OnlineBenchStreamsObserveEvents) {
   ASSERT_NE(gauges, nullptr);
   for (const char* name :
        {"conformal.online.rolling_coverage", "conformal.online.rolling_width",
-        "conformal.online.score_drift", "conformal.online.window_occupancy"}) {
+        "conformal.online.window_occupancy"}) {
     ASSERT_NE(gauges->Find(name), nullptr) << name;
   }
   const JsonValue* cov = gauges->Find("conformal.online.rolling_coverage");

@@ -99,7 +99,6 @@ TEST(OnlineConformalTest, RollingMonitorsTrackPrequentialStream) {
   EXPECT_EQ(oc.observed(), 0u);
   EXPECT_EQ(oc.rolling_coverage(), 0.0);
   EXPECT_EQ(oc.rolling_width(), 0.0);
-  EXPECT_DOUBLE_EQ(oc.score_drift(), 1.0);
 
   Rng rng(9);
   for (int i = 0; i < 500; ++i) {
@@ -110,27 +109,6 @@ TEST(OnlineConformalTest, RollingMonitorsTrackPrequentialStream) {
   // 1 - alpha; 50 samples of a Bernoulli(0.8) stay well within 0.2.
   EXPECT_NEAR(oc.rolling_coverage(), 0.8, 0.2);
   EXPECT_GT(oc.rolling_width(), 0.0);
-  // Stationary stream: rolling mean score ~ lifetime mean score.
-  EXPECT_NEAR(oc.score_drift(), 1.0, 0.5);
-}
-
-TEST(OnlineConformalTest, DriftGaugeRisesUnderResidualShift) {
-  OnlineConformal::Options opts;
-  opts.alpha = 0.1;
-  opts.monitor_window = 50;
-  OnlineConformal oc(MakeScoring(ScoreKind::kResidual), opts);
-  Rng rng(10);
-  for (int i = 0; i < 500; ++i) {
-    oc.Observe(0.0, 30.0 * rng.NextGaussian());
-  }
-  const double stationary = oc.score_drift();
-  // 10x residual shift: the rolling window absorbs it long before the
-  // lifetime mean does.
-  for (int i = 0; i < 100; ++i) {
-    oc.Observe(0.0, 300.0 * rng.NextGaussian());
-  }
-  EXPECT_GT(oc.score_drift(), 2.0);
-  EXPECT_GT(oc.score_drift(), stationary);
 }
 
 TEST(OnlineConformalTest, PublishesOccupancyAndEvictionMetrics) {
@@ -151,9 +129,6 @@ TEST(OnlineConformalTest, PublishesOccupancyAndEvictionMetrics) {
   const double cov =
       obs::Metrics().GetGauge("conformal.online.rolling_coverage").value();
   EXPECT_EQ(cov, oc.rolling_coverage());
-  EXPECT_DOUBLE_EQ(
-      obs::Metrics().GetGauge("conformal.online.score_drift").value(),
-      oc.score_drift());
 }
 
 TEST(OnlineConformalTest, CoverageOnStream) {

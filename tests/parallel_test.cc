@@ -1,6 +1,6 @@
-// ThreadPool / ParallelFor semantics: every task runs exactly once,
-// destruction drains the queue, exceptions propagate to the caller, and
-// chunked loops cover [0, n) exactly once at any thread count. Also
+// ThreadPool / ParallelFor semantics: destruction runs every queued
+// helper slot, exceptions propagate to the caller, and chunked loops
+// cover [0, n) exactly once at any thread count. Also
 // covers the EventLog concurrent-append contract the parallel harness
 // loops rely on.
 #include "common/parallel.h"
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -30,39 +31,38 @@ class ThreadsRestorer {
   int saved_;
 };
 
-TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    futures.push_back(pool.Submit([&count] { count.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 64);
-}
-
 TEST(ThreadPoolTest, DestructionRunsQueuedWork) {
+  // Both workers sleep in one chunk each, so the eight slots queued
+  // behind them are still queued when the destructor starts. Each slot
+  // retires itself by decrementing `outstanding`, whether or not it
+  // found a chunk left to drain.
+  internal::LoopState busy;
+  busy.n = busy.num_chunks = 2;
+  busy.chunk = 1;
+  busy.body = [](void*, size_t, size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
   std::atomic<int> count{0};
+  internal::LoopState queued;
+  queued.n = queued.num_chunks = 32;
+  queued.chunk = 1;
+  queued.body = [](void* ctx, size_t begin, size_t end) {
+    static_cast<std::atomic<int>*>(ctx)->fetch_add(
+        static_cast<int>(end - begin));
+  };
+  queued.ctx = &count;
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 32; ++i) {
-      pool.Submit([&count] { count.fetch_add(1); });
-    }
-    // Destructor must execute everything still queued before joining.
+    EXPECT_EQ(pool.num_threads(), 2);
+    busy.outstanding = 2;
+    ASSERT_EQ(pool.SubmitLoopHelpers(&busy, 2), 2);
+    queued.outstanding = 8;
+    ASSERT_EQ(pool.SubmitLoopHelpers(&queued, 8), 8);
+    // Destructor must execute every queued slot before joining.
   }
+  EXPECT_EQ(busy.outstanding, 0);
+  EXPECT_EQ(queued.outstanding, 0);
   EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ThreadPoolTest, SubmitFutureCarriesException) {
-  ThreadPool pool(2);
-  std::future<void> f =
-      pool.Submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-  // The worker that threw keeps serving tasks.
-  std::future<void> ok = pool.Submit([] {});
-  EXPECT_NO_THROW(ok.get());
 }
 
 TEST(ParallelForTest, ZeroIterationsNeverInvokesBody) {

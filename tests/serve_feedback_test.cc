@@ -5,7 +5,8 @@
 // primary (every answer from the fallback chain) keeping the loop
 // functional, the ladder topping out at kInflate on the primary with the
 // guard's breaker untouched, a golden drift-and-recover trajectory at 1
-// and 4 shards, and the "shed":true JSONL record satellite.
+// and 4 shards, a heavier tail beyond the quantile leaving the ladder
+// healthy, and the "shed":true JSONL record satellite.
 #include "serve/serve.h"
 
 #include <gtest/gtest.h>
@@ -380,6 +381,38 @@ TEST(ServeFeedbackTest, DriftAndRecoverTrajectoryMatchesGolden) {
     EXPECT_EQ(max_stage, static_cast<int>(DriftStage::kInflate));
     EXPECT_EQ(hash, golden) << std::hex << "0x" << hash << "ull";
   }
+}
+
+// The ladder reads prequential coverage alone. The queries the frozen
+// S-CP already misses report truths 100x further out; their scores
+// explode, but they keep missing and the rest keep hitting, so coverage
+// stays nominal and no stage is entered. An inert corrector
+// (max_correction 1) keeps the served estimates, and so the hit set,
+// those of the frozen predictor.
+TEST(ServeFeedbackTest, HeavierTailBeyondTheQuantileStaysHealthy) {
+  FeedbackFixture f;
+  std::vector<bool> missed;
+  for (const LabeledQuery& lq : f.base.workload) {
+    missed.push_back(!f.scp.Predict(f.primary.EstimateCardinality(lq.query))
+                          .Contains(lq.cardinality));
+  }
+  ASSERT_GT(std::count(missed.begin(), missed.end(), true), 0);
+  ServeFrontEnd::Options o = f.FeedbackOptions();
+  o.corrector.max_correction = 1.0;
+  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, o);
+  front.WarmupFeedback(f.base.workload);
+  const auto heavier_tail = [&f, &missed](int round, size_t i) {
+    const double truth = f.base.workload[i].cardinality;
+    return round >= 30 && missed[i] ? truth * 100.0 + 1.0 : truth;
+  };
+  const std::vector<Served> served =
+      RunLockstep(&front, f.base.workload, 40, heavier_tail);
+  front.Stop();
+  const int unhealthy = static_cast<int>(
+      std::count_if(served.begin(), served.end(), [](const Served& s) {
+        return s.stage != static_cast<int>(DriftStage::kHealthy);
+      }));
+  EXPECT_EQ(unhealthy, 0);
 }
 
 // Satellite: shed responses leave a "shed":true record in the JSONL

@@ -25,7 +25,9 @@
 #
 # Usage: tools/run_tsan_obs.sh [tsan|asan|ubsan]   (default: tsan)
 #
-# The argument is a CMakePresets.json preset name. `tsan` is the
+# The argument is a CMakePresets.json preset name. The label list above
+# lives once, in the hidden `sanitizer-smoke` test preset that the
+# `tsan`, `asan` and `ubsan` test presets inherit. `tsan` is the
 # historical default; `asan` runs the same labeled suite under
 # AddressSanitizer with the real tensor arena, which poisons parked
 # buffers so a use of tensor storage after its release is still
