@@ -47,15 +47,17 @@ int ResolveThreadsFromEnv() {
   return HardwareThreads();
 }
 
-// Returns a pool with at least `helpers` workers, creating or growing
-// the process-wide pool on demand. Never shrinks: a larger pool is
-// harmless because ParallelFor only submits as many helper slots as it
-// wants.
-ThreadPool* PoolWithCapacity(int helpers) {
+// Returns the process-wide pool, built on first use with one worker
+// per thread beyond the caller's, so no loop at the current thread
+// count ever needs more. It is rebuilt only when SetThreads raised the
+// count since; SetThreads is documented as unsafe to run concurrently
+// with a ParallelFor, so no issuer can hold the old pool then. Never
+// shrinks: ParallelFor only submits as many helper slots as it wants.
+ThreadPool* Pool(int threads) {
   std::lock_guard<std::mutex> lock(g_pool_mu);
-  if (!g_pool || g_pool->num_threads() < helpers) {
+  if (!g_pool || g_pool->num_threads() < threads - 1) {
     g_pool.reset();  // join the old workers before spawning the new set
-    g_pool = std::make_unique<ThreadPool>(helpers);
+    g_pool = std::make_unique<ThreadPool>(threads - 1);
   }
   return g_pool.get();
 }
@@ -236,7 +238,7 @@ void ParallelForErased(size_t n, size_t chunk,
 
   const int helpers = static_cast<int>(std::min<size_t>(
       static_cast<size_t>(threads - 1), num_chunks - 1));
-  ThreadPool* pool = PoolWithCapacity(helpers);
+  ThreadPool* pool = Pool(threads);
   // `outstanding` is written before SubmitLoopHelpers publishes the
   // state pointer (the pool mutex orders the two), so helpers always see
   // the full count.

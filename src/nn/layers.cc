@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
+#include "nn/row_blocks.h"
 #include "nn/simd.h"
 
 namespace confcard {
@@ -35,20 +35,6 @@ Tensor LinearForward(const Tensor& input, const Parameter& weight,
   Tensor out = MatMul(input, weight.value);
   AddBiasRows(&out, bias);
   return out;
-}
-
-// Same parallelization threshold as the GEMM kernels (tensor.cc): below
-// this many flops pool dispatch costs more than it saves. Rows are
-// independent, so fanning them out cannot change any value.
-constexpr size_t kMinFlopsToParallelize = size_t{1} << 18;
-
-template <typename Kernel>
-void ForEachRow(size_t rows, size_t flops, const Kernel& kernel) {
-  if (flops >= kMinFlopsToParallelize && rows >= 8) {
-    ParallelFor(rows, 0, kernel);
-  } else {
-    kernel(0, rows);
-  }
 }
 
 // Vector j-sweeps for the engine-only forward paths below. Same
@@ -92,7 +78,7 @@ Tensor OneHotForwardColsImpl(const SparseRows& input, const Parameter& weight,
   const size_t m = c1 - c0;
   size_t nnz_total = input.rows == 0 ? 0 : input.row_offsets[input.rows];
   Tensor out = Tensor::Uninitialized(input.rows, m);
-  ForEachRow(input.rows, 2 * nnz_total * m, [&](size_t r0, size_t r1) {
+  ForEachRowBlock(input.rows, 2 * nnz_total * m, [&](size_t r0, size_t r1) {
     const float* brow = bias.value.RowPtr(0) + c0;
     for (size_t r = r0; r < r1; ++r) {
       float* orow = out.RowPtr(r);
@@ -129,22 +115,22 @@ Tensor DenseForwardColsImpl(const Tensor& input, const Parameter& weight,
                             const Parameter& bias, size_t c0, size_t c1) {
   const size_t k = input.cols(), m = c1 - c0;
   Tensor out = Tensor::Uninitialized(input.rows(), m);
-  ForEachRow(input.rows(), 2 * input.rows() * k * m,
-             [&](size_t r0, size_t r1) {
-               const float* brow = bias.value.RowPtr(0) + c0;
-               for (size_t r = r0; r < r1; ++r) {
-                 const float* arow = input.RowPtr(r);
-                 float* orow = out.RowPtr(r);
-                 std::memset(orow, 0, m * sizeof(float));
-                 for (size_t p = 0; p < k; ++p) {
-                   const float av = arow[p];
-                   if (av == 0.0f) continue;
-                   AddScaledRowVec<L>(weight.value.RowPtr(p) + c0, m, av,
-                                      orow);
-                 }
-                 AddRowVec<L>(brow, m, orow);
-               }
-             });
+  ForEachRowBlock(input.rows(), 2 * input.rows() * k * m,
+                  [&](size_t r0, size_t r1) {
+                    const float* brow = bias.value.RowPtr(0) + c0;
+                    for (size_t r = r0; r < r1; ++r) {
+                      const float* arow = input.RowPtr(r);
+                      float* orow = out.RowPtr(r);
+                      std::memset(orow, 0, m * sizeof(float));
+                      for (size_t p = 0; p < k; ++p) {
+                        const float av = arow[p];
+                        if (av == 0.0f) continue;
+                        AddScaledRowVec<L>(weight.value.RowPtr(p) + c0, m, av,
+                                           orow);
+                      }
+                      AddRowVec<L>(brow, m, orow);
+                    }
+                  });
   return out;
 }
 

@@ -15,9 +15,14 @@
 //
 // ISA selection is at compile time from the target the translation unit
 // is built for:
+//   * AVX-512F (16 lanes) when __AVX512F__ — src/CMakeLists.txt probes
+//     the build host and adds -mavx512f as a PUBLIC compile option of
+//     the confcard library, so every target that links it (tests,
+//     benches, tools, perfbench) sees the same ISA macros here.
+//     CONFCARD_SIMD=avx2 at configure time skips the probe.
 //   * AVX2 (8 lanes) when __AVX2__ — the top-level CMakeLists probes the
-//     build host and adds -mavx2 when it supports it (without -mfma, so
-//     the compiler cannot contract mul+add into FMA).
+//     build host and adds -mavx2 when it supports it. Neither probe adds
+//     -mfma, so the compiler cannot contract mul+add into FMA.
 //   * SSE2 (4 lanes) on any x86-64 build.
 //   * NEON (4 lanes) on AArch64. 32-bit ARM NEON is deliberately NOT
 //     used: ARMv7 NEON flushes denormals to zero, which breaks bit
@@ -37,7 +42,10 @@
 #include <cstddef>
 
 #if !defined(CONFCARD_SIMD_OFF)
-#if defined(__AVX2__)
+#if defined(__AVX512F__)
+#define CONFCARD_SIMD_AVX512 1
+#include <immintrin.h>
+#elif defined(__AVX2__)
 #define CONFCARD_SIMD_AVX2 1
 #include <immintrin.h>
 #elif defined(__SSE2__) || defined(_M_X64) || \
@@ -54,9 +62,9 @@
 namespace confcard {
 namespace nn {
 
-/// True when this build carries a vector ISA (AVX2/SSE2/NEON) for the
-/// kernels; false for scalar-only builds (CONFCARD_SIMD=off or an
-/// unsupported target).
+/// True when this build carries a vector ISA (AVX-512/AVX2/SSE2/NEON)
+/// for the kernels; false for scalar-only builds (CONFCARD_SIMD=off or
+/// an unsupported target).
 bool SimdCompiledIn();
 
 /// Whether the kernels currently take their vector paths. Defaults to
@@ -68,7 +76,8 @@ bool SimdEnabled();
 /// builds. Benches and the bit-identity tests sweep this.
 void SetSimdEnabled(bool on);
 
-/// The compiled kernel ISA: "avx2", "sse2", "neon", or "scalar".
+/// The compiled kernel ISA: "avx512", "avx2", "sse2", "neon", or
+/// "scalar".
 /// Reports what the binary carries, independent of SimdEnabled().
 const char* SimdIsaName();
 
@@ -95,7 +104,34 @@ struct ScalarLanes {
   static Vec Relu(Vec v) { return v < 0.0f ? 0.0f : v; }
 };
 
-#if defined(CONFCARD_SIMD_AVX2)
+#if defined(CONFCARD_SIMD_AVX512)
+
+struct Avx512Lanes {
+  using Vec = __m512;
+  static constexpr size_t kWidth = 16;
+  static Vec Load(const float* p) { return _mm512_loadu_ps(p); }
+  static void Store(float* p, Vec v) { _mm512_storeu_ps(p, v); }
+  static Vec Broadcast(float x) { return _mm512_set1_ps(x); }
+  static Vec Zero() { return _mm512_setzero_ps(); }
+  static Vec Add(Vec a, Vec b) { return _mm512_add_ps(a, b); }
+  static Vec Sub(Vec a, Vec b) { return _mm512_sub_ps(a, b); }
+  static Vec Mul(Vec a, Vec b) { return _mm512_mul_ps(a, b); }
+  static Vec Div(Vec a, Vec b) { return _mm512_div_ps(a, b); }
+  // Sqrt and Relu take the zero-masking form with every lane selected,
+  // the same instruction as the plain one: GCC 12 builds the plain
+  // form's pass-through from a self-initialized `_mm512_undefined_ps`,
+  // which -Wmaybe-uninitialized reports at every use.
+  static Vec Sqrt(Vec v) { return _mm512_maskz_sqrt_ps(kAll, v); }
+  // Same -0.0/NaN reasoning as the AVX2 variant: vmaxps returns its
+  // second operand on equal or unordered inputs at every width.
+  static Vec Relu(Vec v) { return _mm512_maskz_max_ps(kAll, Zero(), v); }
+  static constexpr __mmask16 kAll = 0xFFFF;
+};
+
+using NativeLanes = Avx512Lanes;
+inline constexpr const char* kSimdIsaName = "avx512";
+
+#elif defined(CONFCARD_SIMD_AVX2)
 
 struct Avx2Lanes {
   using Vec = __m256;

@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "common/check.h"
-#include "common/parallel.h"
+#include "nn/row_blocks.h"
 #include "nn/simd.h"
 
 namespace confcard {
@@ -49,29 +49,6 @@ void Tensor::Scale(float s) {
 }
 
 namespace {
-
-// Products smaller than this many flops run serially: pool dispatch
-// costs a few microseconds, which swamps tiny GEMMs (e.g. single-query
-// inference rows).
-constexpr size_t kMinFlopsToParallelize = size_t{1} << 18;
-
-// Output-row chunk aligned to the 4-row micro block, so the grouping of
-// rows into blocks — and therefore the zero-block skip decisions — is
-// identical at every thread count.
-size_t RowChunk(size_t rows) {
-  const size_t threads = static_cast<size_t>(std::max(1, CurrentThreads()));
-  size_t chunk = std::max<size_t>(1, rows / (threads * 4));
-  return (chunk + 3) & ~size_t{3};
-}
-
-template <typename Kernel>
-void ForEachRowBlock(size_t rows, size_t flops, const Kernel& kernel) {
-  if (flops >= kMinFlopsToParallelize && rows >= 8) {
-    ParallelFor(rows, RowChunk(rows), kernel);
-  } else {
-    kernel(0, rows);
-  }
-}
 
 // C[r0:r1) = A[r0:r1) * B. Four output rows share one streaming pass
 // over B; each row's element is still a p-ascending sum, so values are
@@ -241,9 +218,10 @@ size_t PackBlock(const AAt& a_at, size_t i, size_t k, float* pa,
 // C[0:R)[j, j + V*W) of the block = the packed terms times the matching
 // B rows; B and C rows are both m floats long. The R x V accumulators
 // live across the whole term loop and are stored once at the end. At
-// 4 x 3 on AVX2 they, 3 B vectors, a broadcast and a product need 17
-// of the 16 ymm registers, so GCC keeps one accumulator on the stack;
-// that changes no value.
+// 4 x 3 they, 3 B vectors, a broadcast and a product need 17 vector
+// registers: on AVX-512 (48 columns) they fit in the 32 zmm registers;
+// on AVX2 (24 columns) GCC keeps one accumulator of the 16 ymm
+// registers on the stack, which changes no value.
 template <typename L, size_t R, size_t V>
 inline void Tile(const float* pa, const uint32_t* pidx, size_t np,
                  const float* b, size_t m, size_t j, float* c) {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/event_log.h"
+#include "obs/metrics.h"
 
 namespace confcard {
 namespace {
@@ -63,6 +64,21 @@ TEST(ThreadPoolTest, DestructionRunsQueuedWork) {
   EXPECT_EQ(busy.outstanding, 0);
   EXPECT_EQ(queued.outstanding, 0);
   EXPECT_EQ(count.load(), 32);
+}
+
+// The pool is sized by the thread count, not by the first loop's
+// helper count: a later, wider loop must never rebuild it while another
+// issuer may still hold it. ctest runs each test in its own process, so
+// this loop is the pool's first use there.
+TEST(ParallelForTest, FirstLoopSizesThePoolForTheThreadCount) {
+  ThreadsRestorer restore;
+  SetThreads(4);
+  std::atomic<int> count{0};
+  ParallelFor(2, 1, [&count](size_t begin, size_t end) {
+    count.fetch_add(static_cast<int>(end - begin));
+  });
+  EXPECT_EQ(count.load(), 2);
+  EXPECT_EQ(obs::Metrics().GetGauge("pool.threads").value(), 3.0);
 }
 
 TEST(ParallelForTest, ZeroIterationsNeverInvokesBody) {
@@ -157,33 +173,35 @@ TEST(ParallelForTest, SlotResultsIdenticalAcrossThreadCounts) {
 // so stack LoopStates from different issuers interleave in the helper
 // ring and retire out of order. Every loop must still cover its range
 // exactly and unwind its own state (run under TSan via the
-// parallel-smoke label).
+// parallel-smoke label). Nothing warms the pool first, and issuers
+// alternate between a two-chunk loop (one helper) and a wide one
+// (three), so the first loops race to build the pool.
 TEST(ParallelForTest, ConcurrentTopLevelLoopsFromManyThreads) {
   ThreadsRestorer restore;
   SetThreads(4);
-  // Warm the pool once so all issuers race against one instance.
-  ParallelFor(64, 1, [](size_t, size_t) {});
   constexpr int kIssuers = 6;
   constexpr int kRounds = 40;
-  constexpr size_t kN = 257;
   std::atomic<long> grand_total{0};
   std::vector<std::thread> issuers;
   issuers.reserve(kIssuers);
   for (int t = 0; t < kIssuers; ++t) {
-    issuers.emplace_back([&grand_total] {
+    issuers.emplace_back([&grand_total, t] {
       for (int round = 0; round < kRounds; ++round) {
+        const size_t n = (t + round) % 2 == 0 ? 2 : 257;
+        const size_t chunk = n == 2 ? 1 : 4;
         std::atomic<long> covered{0};
-        ParallelFor(kN, 4, [&covered](size_t begin, size_t end) {
+        ParallelFor(n, chunk, [&covered](size_t begin, size_t end) {
           covered.fetch_add(static_cast<long>(end - begin));
         });
-        EXPECT_EQ(covered.load(), static_cast<long>(kN));
+        EXPECT_EQ(covered.load(), static_cast<long>(n));
         grand_total.fetch_add(covered.load());
       }
     });
   }
   for (std::thread& th : issuers) th.join();
+  // Each issuer runs kRounds / 2 loops of each size.
   EXPECT_EQ(grand_total.load(),
-            static_cast<long>(kIssuers) * kRounds * static_cast<long>(kN));
+            static_cast<long>(kIssuers) * (kRounds / 2) * (2 + 257));
 }
 
 TEST(EventLogTest, ConcurrentAppendsNeverInterleaveLines) {

@@ -147,14 +147,17 @@ Tensor OneHotRows(size_t rows, size_t cols, Rng& rng) {
 
 // The register-tiled kernels against the scalar reference at the shapes
 // their tiling splits on. The output widths cover 3-, 2- and 1-vector
-// tiles and single scalar columns at AVX2 and SSE2/NEON widths; the row
-// counts cover whole 4-row blocks, single-row tails and (166 rows) the
-// pool's row chunks. The shared operand is one-hot rows, as in Naru's
-// input layer, or half zeros, as in a ReLU layer's gradient.
+// tiles and single scalar columns at AVX-512, AVX2 and SSE2/NEON
+// widths; the row counts cover whole 4-row blocks, single-row tails and
+// (166 rows) a long run of blocks ending in a two-row tail. The pool's
+// row chunks are tested in tensor_test, above the flop threshold. The
+// shared operand is one-hot rows, as in Naru's input layer, or half
+// zeros, as in a ReLU layer's gradient.
 TEST(SimdKernelTest, TiledKernelsBitIdenticalAtModelShapes) {
   SimdRestorer restore;
   Rng rng(8765);
-  const size_t ms[] = {1, 5, 8, 15, 16, 23, 24, 25, 64, 96, 301};
+  const size_t ms[] = {1,  5,  8,  15, 16, 23, 24, 25,
+                       31, 33, 47, 49, 64, 96, 301};
   const size_t row_counts[] = {1, 3, 4, 5, 64, 166};
   for (size_t rows : row_counts) {
     for (size_t m : ms) {
@@ -291,11 +294,13 @@ TEST(SimdKernelTest, SparseOneHotGathersBitIdentical) {
 
 TEST(SimdKernelTest, RuntimeControlsReportCompiledState) {
   SimdRestorer restore;
-  // The ISA name is one of the four known strings and agrees with the
+  // The ISA name is one of the five known strings and agrees with the
   // compiled lane width.
   const std::string isa = SimdIsaName();
   const size_t w = SimdLaneWidth();
-  if (isa == "avx2") {
+  if (isa == "avx512") {
+    EXPECT_EQ(w, 16u);
+  } else if (isa == "avx2") {
     EXPECT_EQ(w, 8u);
   } else if (isa == "sse2" || isa == "neon") {
     EXPECT_EQ(w, 4u);

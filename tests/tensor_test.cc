@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "obs/metrics.h"
 
 namespace confcard {
 namespace nn {
@@ -169,13 +170,24 @@ void ExpectBitIdentical(const Tensor& got, const Tensor& want,
 
 TEST(MatMulTest, BlockedKernelsMatchReferenceAcrossShapesAndThreads) {
   const int saved_threads = CurrentThreads();
-  // Odd shapes exercise the 4-row/4-col remainders; the large shape
-  // crosses the parallelization flop threshold.
+  obs::Counter& dispatches =
+      obs::Metrics().GetCounter("pool.parallel_for_calls");
+  // Odd shapes exercise the 4-row/4-col remainders. 64 x 288 x 96 is an
+  // MSCN training product (3.5 Mflop): it stays below the flop
+  // threshold and runs inline. 192 x 256 x 192 (18.9 Mflop, the GEMM of
+  // bench_parallel) crosses it, so its 4-thread pass runs on the pool.
   const struct {
     size_t n, k, m;
-  } shapes[] = {{1, 1, 1}, {3, 5, 2}, {17, 9, 33}, {64, 128, 96}};
+    bool pooled;
+  } shapes[] = {{1, 1, 1, false},
+                {3, 5, 2, false},
+                {17, 9, 33, false},
+                {64, 128, 96, false},
+                {64, 288, 96, false},
+                {192, 256, 192, true}};
   Rng rng(7);
   for (const auto& s : shapes) {
+    SCOPED_TRACE(::testing::Message() << s.n << " x " << s.k << " x " << s.m);
     Tensor a = Tensor::Randn(s.n, s.k, 1.0f, rng);
     Tensor b = Tensor::Randn(s.k, s.m, 1.0f, rng);
     // Zero some rows of a to exercise the skip-zero fast path.
@@ -194,10 +206,12 @@ TEST(MatMulTest, BlockedKernelsMatchReferenceAcrossShapesAndThreads) {
     ExpectClose(tb1, RefMatMulTransB(a, bt), "MatMulTransB");
 
     SetThreads(4);
+    const uint64_t before = dispatches.value();
     // Bit-identity between thread counts is the determinism contract.
     ExpectBitIdentical(MatMul(a, b), c1, "MatMul t4");
     ExpectBitIdentical(MatMulTransA(at, b), ta1, "MatMulTransA t4");
     ExpectBitIdentical(MatMulTransB(a, bt), tb1, "MatMulTransB t4");
+    EXPECT_EQ(dispatches.value() - before, s.pooled ? 3u : 0u);
   }
   SetThreads(saved_threads);
 }

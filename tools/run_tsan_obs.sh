@@ -32,7 +32,12 @@
 # AddressSanitizer with the real tensor arena, which poisons parked
 # buffers so a use of tensor storage after its release is still
 # reported; `ubsan` runs it under UndefinedBehaviorSanitizer with
-# recovery off, so the first report fails its test.
+# recovery off, so the first report fails its test. The sanitizer
+# builds take the host's widest SIMD lanes (16 on AVX-512 hosts); the
+# 8-lane AVX2 kernels are built and run through the full suite by the
+# separate `simd-avx2` preset (`cmake --preset simd-avx2 && cmake
+# --build --preset simd-avx2 && ctest --preset simd-avx2`), as the
+# scalar reference is by `simd-off`.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
