@@ -42,9 +42,11 @@
 #include "bench_common.h"
 #include "ce/guarded.h"
 #include "ce/lwnn.h"
+#include "ce/residual.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "conformal/interval.h"
+#include "conformal/online.h"
 #include "conformal/scoring.h"
 #include "conformal/split.h"
 #include "data/drift.h"
@@ -57,6 +59,7 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 using serve::Admit;
+using serve::DriftDetector;
 using serve::DriftStage;
 using serve::Request;
 using serve::ServeFrontEnd;
@@ -549,25 +552,29 @@ int Main() {
   w.Key("feedback").BeginObject();
   {
     const ServeFrontEnd::Options fo = FrontOptions(true, 1024);
-    w.Key("recal_window").Int(static_cast<uint64_t>(fo.recal_window));
-    w.Key("monitor_window").Int(static_cast<uint64_t>(fo.monitor_window));
+    w.Key("recal_window")
+        .Int(static_cast<uint64_t>(ServeFrontEnd::kRecalWindow));
+    w.Key("monitor_window")
+        .Int(static_cast<uint64_t>(OnlineConformal::kMonitorWindow));
     w.Key("feedback_capacity")
         .Int(static_cast<uint64_t>(fo.feedback_capacity));
-    w.Key("drift_inflation").Number(fo.drift_inflation);
-    w.Key("degraded_inflation").Number(fo.degraded_inflation);
+    w.Key("drift_inflation").Number(ServeFrontEnd::kDriftInflation);
+    w.Key("degraded_inflation").Number(kDegradedInflation);
     w.Key("detector").BeginObject();
     w.Key("min_observations")
-        .Int(static_cast<uint64_t>(fo.detector.min_observations));
-    w.Key("recalibrate_dip").Number(fo.detector.recalibrate_dip);
-    w.Key("inflate_dip").Number(fo.detector.inflate_dip);
-    w.Key("recovery_hold").Int(static_cast<uint64_t>(fo.detector.recovery_hold));
-    w.Key("recovered_within").Number(fo.detector.recovered_within);
+        .Int(static_cast<uint64_t>(DriftDetector::kMinObservations));
+    w.Key("recalibrate_dip").Number(DriftDetector::kRecalibrateDip);
+    w.Key("inflate_dip").Number(DriftDetector::kInflateDip);
+    w.Key("recovery_hold")
+        .Int(static_cast<uint64_t>(DriftDetector::kRecoveryHold));
+    w.Key("recovered_within").Number(DriftDetector::kRecoveredWithin);
     w.EndObject();
     w.Key("corrector").BeginObject();
-    w.Key("capacity").Int(static_cast<uint64_t>(fo.corrector.capacity));
-    w.Key("smoothing").Number(fo.corrector.smoothing);
-    w.Key("min_observations").Int(fo.corrector.min_observations);
-    w.Key("max_correction").Number(fo.corrector.max_correction);
+    w.Key("capacity")
+        .Int(static_cast<uint64_t>(ResidualCorrector::kCapacity));
+    w.Key("smoothing").Number(ResidualCorrector::kSmoothing);
+    w.Key("min_observations").Int(ResidualCorrector::kMinObservations);
+    w.Key("max_correction").Number(ResidualCorrector::kMaxCorrection);
     w.EndObject();
   }
   w.EndObject();

@@ -44,6 +44,7 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "conformal/interval.h"
+#include "conformal/online.h"
 #include "conformal/scoring.h"
 #include "conformal/split.h"
 #include "data/drift.h"
@@ -418,10 +419,12 @@ int Main() {
   w.Key("enabled").Bool(options.feedback);
   w.Key("feedback_capacity")
       .Int(static_cast<uint64_t>(options.feedback_capacity));
-  w.Key("recal_window").Int(static_cast<uint64_t>(options.recal_window));
-  w.Key("monitor_window").Int(static_cast<uint64_t>(options.monitor_window));
-  w.Key("drift_inflation").Number(options.drift_inflation);
-  w.Key("degraded_inflation").Number(options.degraded_inflation);
+  w.Key("recal_window")
+      .Int(static_cast<uint64_t>(ServeFrontEnd::kRecalWindow));
+  w.Key("monitor_window")
+      .Int(static_cast<uint64_t>(OnlineConformal::kMonitorWindow));
+  w.Key("drift_inflation").Number(ServeFrontEnd::kDriftInflation);
+  w.Key("degraded_inflation").Number(kDegradedInflation);
   w.EndObject();
   w.EndObject();
   w.Key("bit_identity").BeginObject();

@@ -80,6 +80,11 @@ struct GuardedEstimate {
   int source = 0;
 };
 
+/// Multiplier on the calibrated quantile delta for the interval of a
+/// degraded answer, so fallback answers get conservatively wider bands.
+/// Read by SingleTableHarness::RunScpGuarded and the serving front-end.
+inline constexpr double kDegradedInflation = 4.0;
+
 /// Decorator over a primary CardinalityEstimator. Neither the primary
 /// nor added fallbacks are owned; the terminal histogram fallback is
 /// built from the table and owned by the guard.

@@ -17,21 +17,9 @@ uint64_t FnvMix(uint64_t h, uint64_t v) {
   return h;
 }
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 }  // namespace
 
-ResidualCorrector::ResidualCorrector() : ResidualCorrector(Options()) {}
-
-ResidualCorrector::ResidualCorrector(Options options) : options_(options) {
-  size_t capacity = RoundUpPow2(std::max<size_t>(options_.capacity, 8));
-  slots_.resize(capacity);
-  mask_ = capacity - 1;
-}
+ResidualCorrector::ResidualCorrector() : slots_(kCapacity) {}
 
 uint64_t ResidualCorrector::SubspaceHash(const Query& query) {
   // (column, op) pairs, sorted so predicate order does not matter.
@@ -53,9 +41,9 @@ uint64_t ResidualCorrector::SubspaceHash(const Query& query) {
 }
 
 const ResidualCorrector::Slot* ResidualCorrector::Find(uint64_t fss) const {
-  size_t base = static_cast<size_t>(fss) & mask_;
+  size_t base = static_cast<size_t>(fss) & kMask;
   for (size_t i = 0; i < kProbeWindow; ++i) {
-    const Slot& slot = slots_[(base + i) & mask_];
+    const Slot& slot = slots_[(base + i) & kMask];
     if (slot.count == 0) return nullptr;
     if (slot.fss == fss) return &slot;
   }
@@ -63,10 +51,10 @@ const ResidualCorrector::Slot* ResidualCorrector::Find(uint64_t fss) const {
 }
 
 ResidualCorrector::Slot* ResidualCorrector::FindOrEvict(uint64_t fss) {
-  size_t base = static_cast<size_t>(fss) & mask_;
+  size_t base = static_cast<size_t>(fss) & kMask;
   Slot* victim = nullptr;
   for (size_t i = 0; i < kProbeWindow; ++i) {
-    Slot& slot = slots_[(base + i) & mask_];
+    Slot& slot = slots_[(base + i) & kMask];
     if (slot.fss == fss && slot.count > 0) return &slot;
     if (slot.count == 0) {
       if (victim == nullptr || victim->count > 0) victim = &slot;
@@ -88,11 +76,9 @@ ResidualCorrector::Slot* ResidualCorrector::FindOrEvict(uint64_t fss) {
 
 double ResidualCorrector::Correct(uint64_t fss, double estimate) const {
   const Slot* slot = Find(fss);
-  if (slot == nullptr || slot->count < options_.min_observations)
-    return estimate;
+  if (slot == nullptr || slot->count < kMinObservations) return estimate;
   double factor = std::exp(slot->bias);
-  factor = std::clamp(factor, 1.0 / options_.max_correction,
-                      options_.max_correction);
+  factor = std::clamp(factor, 1.0 / kMaxCorrection, kMaxCorrection);
   // Correct in shifted space so zero-cardinality truths stay reachable.
   double corrected = (estimate + 1.0) * factor - 1.0;
   return std::max(corrected, 0.0);
@@ -106,8 +92,7 @@ void ResidualCorrector::Observe(uint64_t fss, double estimate, double truth) {
   if (slot->count == 0) {
     slot->bias = residual;
   } else {
-    slot->bias = (1.0 - options_.smoothing) * slot->bias +
-                 options_.smoothing * residual;
+    slot->bias = (1.0 - kSmoothing) * slot->bias + kSmoothing * residual;
   }
   ++slot->count;
   ++observed_;

@@ -27,21 +27,18 @@ namespace confcard {
 
 class ResidualCorrector {
  public:
-  struct Options {
-    /// Slot count, rounded up to a power of two. Fixed for the
-    /// corrector's lifetime; collisions evict within the probe window.
-    size_t capacity = 512;
-    /// EWMA weight of the newest log-residual.
-    double smoothing = 0.25;
-    /// Observations a subspace needs before its correction is applied.
-    uint64_t min_observations = 8;
-    /// Clamp on the multiplicative correction factor (applied
-    /// symmetrically: factors stay within [1/max, max]).
-    double max_correction = 16.0;
-  };
+  /// Slot count, a power of two. Fixed for the corrector's lifetime;
+  /// collisions evict within the probe window.
+  static constexpr size_t kCapacity = 512;
+  /// EWMA weight of the newest log-residual.
+  static constexpr double kSmoothing = 0.25;
+  /// Observations a subspace needs before its correction is applied.
+  static constexpr uint64_t kMinObservations = 8;
+  /// Clamp on the multiplicative correction factor (applied
+  /// symmetrically: factors stay within [1/max, max]).
+  static constexpr double kMaxCorrection = 16.0;
 
   ResidualCorrector();
-  explicit ResidualCorrector(Options options);
 
   /// FNV-1a hash of the query's feature subspace: sorted (column, op)
   /// pairs, literals excluded. Two queries over the same columns with
@@ -49,11 +46,11 @@ class ResidualCorrector {
   static uint64_t SubspaceHash(const Query& query);
 
   /// `estimate` scaled by the learned correction for `fss` (identity
-  /// until min_observations have been seen for that subspace).
+  /// until kMinObservations have been seen for that subspace).
   double Correct(uint64_t fss, double estimate) const;
 
   /// Folds one executed query's outcome into the subspace entry:
-  /// bias <- (1-smoothing) * bias + smoothing * log((truth+1)/(est+1)).
+  /// bias <- (1-kSmoothing) * bias + kSmoothing * log((truth+1)/(est+1)).
   void Observe(uint64_t fss, double estimate, double truth);
 
   /// Drops every entry (stage-1 recalibration resets stale corrections).
@@ -66,8 +63,6 @@ class ResidualCorrector {
   /// Lifetime evictions (probe window full, lowest-count slot replaced).
   uint64_t evictions() const { return evictions_; }
 
-  const Options& options() const { return options_; }
-
  private:
   struct Slot {
     uint64_t fss = 0;
@@ -76,6 +71,9 @@ class ResidualCorrector {
   };
 
   static constexpr size_t kProbeWindow = 8;
+  static constexpr size_t kMask = kCapacity - 1;
+  static_assert((kCapacity & kMask) == 0 && kCapacity >= kProbeWindow,
+                "slot indices are masked with kCapacity - 1");
 
   /// Slot serving `fss` for reads; nullptr when absent.
   const Slot* Find(uint64_t fss) const;
@@ -83,9 +81,7 @@ class ResidualCorrector {
   /// deterministically evicted lowest-count slot in the window.
   Slot* FindOrEvict(uint64_t fss);
 
-  Options options_;
   std::vector<Slot> slots_;
-  size_t mask_ = 0;
   size_t entries_ = 0;
   uint64_t observed_ = 0;
   uint64_t evictions_ = 0;

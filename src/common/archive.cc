@@ -1,5 +1,6 @@
 #include "common/archive.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "common/fault.h"
@@ -13,7 +14,9 @@ ArchiveWriter::ArchiveWriter(uint32_t magic, uint32_t version) {
 
 void ArchiveWriter::Append(const void* data, size_t n) {
   const uint8_t* p = static_cast<const uint8_t*>(data);
-  bytes_.insert(bytes_.end(), p, p + n);
+  const size_t old = bytes_.size();
+  bytes_.resize(old + n);
+  std::copy_n(p, n, bytes_.begin() + old);
 }
 
 void ArchiveWriter::WriteU32(uint32_t v) { Append(&v, sizeof(v)); }

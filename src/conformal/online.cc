@@ -14,9 +14,9 @@ namespace confcard {
 OnlineConformal::OnlineConformal(
     std::shared_ptr<const ScoringFunction> scoring, Options options)
     : scoring_(std::move(scoring)),
-      options_(std::move(options)),
-      coverage_window_(options_.monitor_window),
-      width_window_(options_.monitor_window) {
+      options_(options),
+      coverage_window_(kMonitorWindow),
+      width_window_(kMonitorWindow) {
   CONFCARD_CHECK(scoring_ != nullptr);
   CONFCARD_CHECK(options_.alpha > 0.0 && options_.alpha < 1.0);
   if (options_.window > 0) {
@@ -96,7 +96,7 @@ void OnlineConformal::Observe(double estimate, double truth) {
     obs::QueryEvent e;
     e.run_seq = 0;  // the online stream has no batch finalization
     e.query_id = observed_ - 1;
-    e.model = options_.estimator_label;
+    e.model = "online";
     e.method = "online-s-cp";
     e.alpha = options_.alpha;
     e.estimate = estimate;

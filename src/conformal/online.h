@@ -7,7 +7,7 @@
 //
 // Observe() additionally publishes rolling monitors through the metrics
 // registry — prequential coverage and mean width over the last
-// `monitor_window` observations, window occupancy, and eviction counts —
+// kMonitorWindow observations, window occupancy, and eviction counts —
 // so the Fig. 8/11 shift experiments expose their degradation live
 // instead of only in final tables. See docs/OBSERVABILITY.md
 // ("conformal.online.*").
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -37,16 +36,14 @@ namespace confcard {
 /// multiset. Observe() is O(log n) per update; Predict() is O(1).
 class OnlineConformal {
  public:
+  /// Rolling-monitor horizon: coverage/width gauges average over this
+  /// many most-recent observations.
+  static constexpr size_t kMonitorWindow = 256;
+
   struct Options {
     double alpha = 0.1;
     /// Keep at most this many most-recent scores (0 = unbounded).
     size_t window = 0;
-    /// Rolling-monitor horizon: coverage/width gauges average over this
-    /// many most-recent observations.
-    size_t monitor_window = 256;
-    /// Label recorded as the `model` field of per-query events emitted
-    /// from Observe (the estimator is not visible at this layer).
-    std::string estimator_label = "online";
     /// When false, Observe neither sets conformal.online.* gauges nor
     /// emits per-query events. Serving shards each own a recalibrator
     /// and publish their own serve.drift.* view instead — concurrent
@@ -85,7 +82,7 @@ class OnlineConformal {
 
   /// Lifetime observation count (never decremented by eviction).
   uint64_t observed() const { return observed_; }
-  /// Prequential coverage over the last monitor_window observations.
+  /// Prequential coverage over the last kMonitorWindow observations.
   double rolling_coverage() const { return coverage_window_.Mean(); }
   /// Observations currently in the rolling coverage window.
   size_t rolling_observations() const { return coverage_window_.size(); }

@@ -59,7 +59,8 @@ Result<LoadedTable> LoadTableFromCsv(const std::string& path,
 
   std::vector<std::string> names(num_cols);
   for (size_t c = 0; c < num_cols; ++c) {
-    names[c] = options.has_header ? header[c] : "c" + std::to_string(c);
+    names[c] = options.has_header ? header[c]
+                                  : std::string("c").append(std::to_string(c));
   }
 
   auto forced = [&](const std::string& col_name) {

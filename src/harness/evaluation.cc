@@ -67,20 +67,20 @@ void FinalizeMethodResult(MethodResult* result, double num_rows) {
   // align per-run gauges by name across two runs.
   static std::atomic<uint64_t> g_run_seq{0};
   result->run_seq = g_run_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  const std::string suffix = "." + std::to_string(result->run_seq) + "." +
+  const std::string suffix = std::to_string(result->run_seq) + "." +
                              result->model + "." + result->method;
-  obs::Metrics().GetGauge("harness.coverage" + suffix).Set(result->coverage);
+  obs::Metrics().GetGauge("harness.coverage." + suffix).Set(result->coverage);
   obs::Metrics()
-      .GetGauge("harness.width_sel" + suffix)
+      .GetGauge("harness.width_sel." + suffix)
       .Set(result->mean_width_sel);
   if (result->num_degraded > 0) {
     // Registered only when degradation happened, so healthy runs keep a
     // byte-identical metric namespace (the obsdiff gate relies on it).
     obs::Metrics()
-        .GetGauge("harness.degraded" + suffix)
+        .GetGauge("harness.degraded." + suffix)
         .Set(static_cast<double>(result->num_degraded));
     obs::Metrics()
-        .GetGauge("harness.coverage_degraded" + suffix)
+        .GetGauge("harness.coverage_degraded." + suffix)
         .Set(result->coverage_degraded);
   }
 

@@ -73,10 +73,6 @@ Result<SingleTableHarness> SingleTableHarness::Make(const Table& table,
                                                     Options options) {
   CONFCARD_RETURN_NOT_OK(ValidateAlpha(options.alpha));
   CONFCARD_RETURN_NOT_OK(ValidateFolds(options.jk_folds));
-  if (!(options.degraded_inflation >= 1.0)) {
-    return Status::InvalidArgument(
-        "degraded_inflation must be >= 1 (intervals only widen)");
-  }
   if (calib.empty()) {
     return Status::InvalidArgument("calibration split is empty");
   }
@@ -139,7 +135,7 @@ MethodResult SingleTableHarness::RunScpGuarded(
   }
 
   test_g = guarded_estimates(test_);
-  const double inflated_delta = scp.delta() * options_.degraded_inflation;
+  const double inflated_delta = scp.delta() * kDegradedInflation;
   ClipCounter clip(result.method);
   {
     InferTimer infer(&result, test_.size());

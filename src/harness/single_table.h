@@ -42,10 +42,6 @@ class SingleTableHarness
     int perturbations = 8;
     gbdt::GbdtConfig gbdt;
     uint64_t seed = 5;
-    /// Multiplier applied to the calibrated quantile delta when building
-    /// the interval of a degraded (fallback-answered) test query, so
-    /// fallback answers get conservatively wider bands.
-    double degraded_inflation = 4.0;
   };
 
   SingleTableHarness(const Table& table, Workload train, Workload calib,
@@ -62,7 +58,7 @@ class SingleTableHarness
 
   /// S-CP through a guarded estimator. Calibrates on healthy calibration
   /// answers only; test queries the guard degraded get an interval
-  /// inverted at delta * degraded_inflation and are flagged so
+  /// inverted at delta * kDegradedInflation and are flagged so
   /// FinalizeMethodResult aggregates them separately. With no faults
   /// armed this is row-for-row bit-identical to RunScp on the guard's
   /// primary (determinism_test enforces it).

@@ -224,13 +224,13 @@ namespace {
 // Prometheus metric names allow [a-zA-Z0-9_:]; our dot-separated paths
 // map dots (and anything else exotic) to underscores.
 std::string ExpositionName(const std::string& name) {
-  std::string out = name;
+  const bool needs_prefix = name.empty() || (name[0] >= '0' && name[0] <= '9');
+  std::string out = needs_prefix ? "_" + name : name;
   for (char& c : out) {
     const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
                     (c >= '0' && c <= '9') || c == '_' || c == ':';
     if (!ok) c = '_';
   }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out.insert(0, "_");
   return out;
 }
 

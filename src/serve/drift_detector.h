@@ -11,11 +11,11 @@
 //                    while the recalibrator catches up)
 //
 // kInflate is the top stage, as no measured stream goes further
-// (docs/ROBUSTNESS.md): any dip past inflate_dip lands there, and every
+// (docs/ROBUSTNESS.md): any dip past kInflateDip lands there, and every
 // stage serves from the guard's primary.
 // Escalation can jump stages (a deep dip goes straight to kInflate);
 // de-escalation steps down one stage at a time, and only after
-// `recovery_hold` consecutive healthy observations — a flapping ladder
+// kRecoveryHold consecutive healthy observations — a flapping ladder
 // would churn the recalibrator and make replays unreadable. Update() is
 // a pure function of the observation sequence, so a replayed stream
 // walks the identical stage path (bench_drift gates this).
@@ -45,37 +45,35 @@ inline const char* DriftStageToString(DriftStage stage) {
   return "unknown";
 }
 
-struct DriftDetectorOptions {
-  /// Observations the rolling window needs before the detector acts.
-  size_t min_observations = 64;
-  /// Coverage dip (nominal - rolling) that triggers each stage.
-  double recalibrate_dip = 0.03;
-  double inflate_dip = 0.08;
-  /// Consecutive healthy observations before stepping down one stage.
-  size_t recovery_hold = 96;
-  /// "Healthy" = rolling coverage within this of nominal (or above).
-  double recovered_within = 0.01;
-};
-
 /// Per-shard stage machine. Single-writer: only the shard's worker calls
 /// Update (at micro-batch boundaries); stage() is a plain read.
 class DriftDetector {
  public:
+  /// Observations the rolling window needs before the detector acts.
+  static constexpr size_t kMinObservations = 64;
+  /// Coverage dip (nominal - rolling) that triggers each stage.
+  static constexpr double kRecalibrateDip = 0.03;
+  static constexpr double kInflateDip = 0.08;
+  /// Consecutive healthy observations before stepping down one stage.
+  static constexpr size_t kRecoveryHold = 96;
+  /// "Healthy" = rolling coverage within this of nominal (or above).
+  static constexpr double kRecoveredWithin = 0.01;
+
   /// Dips are measured against `nominal_coverage`, the conformal
   /// predictor's target 1 - alpha.
-  DriftDetector(double nominal_coverage, DriftDetectorOptions options)
-      : nominal_coverage_(nominal_coverage), options_(options) {}
+  explicit DriftDetector(double nominal_coverage)
+      : nominal_coverage_(nominal_coverage) {}
 
   /// Folds one prequential observation's monitor state into the ladder
   /// and returns the (possibly changed) stage. `observations` is the
   /// rolling window's current occupancy.
   DriftStage Update(double rolling_coverage, size_t observations) {
-    if (observations < options_.min_observations) return stage_;
+    if (observations < kMinObservations) return stage_;
     const double dip = nominal_coverage_ - rolling_coverage;
     DriftStage target = DriftStage::kHealthy;
-    if (dip >= options_.inflate_dip) {
+    if (dip >= kInflateDip) {
       target = DriftStage::kInflate;
-    } else if (dip >= options_.recalibrate_dip) {
+    } else if (dip >= kRecalibrateDip) {
       target = DriftStage::kRecalibrate;
     }
     if (static_cast<int>(target) > static_cast<int>(stage_)) {
@@ -83,8 +81,8 @@ class DriftDetector {
       healthy_streak_ = 0;
       return stage_;
     }
-    if (dip <= options_.recovered_within) {
-      if (++healthy_streak_ >= options_.recovery_hold &&
+    if (dip <= kRecoveredWithin) {
+      if (++healthy_streak_ >= kRecoveryHold &&
           stage_ != DriftStage::kHealthy) {
         stage_ = static_cast<DriftStage>(static_cast<int>(stage_) - 1);
         healthy_streak_ = 0;
@@ -99,7 +97,6 @@ class DriftDetector {
 
  private:
   double nominal_coverage_;
-  DriftDetectorOptions options_;
   DriftStage stage_ = DriftStage::kHealthy;
   size_t healthy_streak_ = 0;
 };

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ce/residual.h"
 #include "common/check.h"
 #include "common/parallel.h"
 #include "conformal/interval.h"
+#include "conformal/online.h"
 #include "obs/event_log.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -155,20 +157,13 @@ ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
                      "serve: flush_timeout_us must be >= 0");
   CONFCARD_CHECK_MSG(options_.queue_capacity >= 1,
                      "serve: queue_capacity must be >= 1");
-  CONFCARD_CHECK_MSG(options_.degraded_inflation >= 1.0,
-                     "serve: degraded_inflation must be >= 1");
   if (options_.feedback) {
     CONFCARD_CHECK_MSG(options_.feedback_capacity >= 1,
                        "serve: feedback_capacity must be >= 1");
-    CONFCARD_CHECK_MSG(options_.recal_window >= 1,
-                       "serve: recal_window must be >= 1");
-    CONFCARD_CHECK_MSG(options_.drift_inflation >= 1.0,
-                       "serve: drift_inflation must be >= 1");
   }
   breaker_shed_depth_ = std::max<size_t>(
       1, static_cast<size_t>(static_cast<double>(options_.queue_capacity) *
-                             std::clamp(options_.breaker_shed_watermark, 0.0,
-                                        1.0)));
+                             kBreakerShedWatermark));
   const size_t b = static_cast<size_t>(options_.max_batch);
   shards_.reserve(shard_guards.size());
   for (size_t i = 0; i < shard_guards.size(); ++i) {
@@ -183,17 +178,14 @@ ServeFrontEnd::ServeFrontEnd(std::vector<const GuardedEstimator*> shard_guards,
     if (options_.feedback) {
       OnlineConformal::Options ro;
       ro.alpha = conformal.alpha();
-      ro.window = options_.recal_window;
-      ro.monitor_window = options_.monitor_window;
-      ro.estimator_label = "serve-recal";
+      ro.window = kRecalWindow;
       ro.publish_metrics = false;  // per-shard state; gauges would race
       shard->recal =
           std::make_unique<OnlineConformal>(conformal.scoring_ptr(), ro);
-      shard->corrector =
-          std::make_unique<ResidualCorrector>(options_.corrector);
+      shard->corrector = std::make_unique<ResidualCorrector>();
       // The ladder measures dips against the predictor's own target.
-      shard->detector = std::make_unique<DriftDetector>(
-          1.0 - conformal.alpha(), options_.detector);
+      shard->detector =
+          std::make_unique<DriftDetector>(1.0 - conformal.alpha());
       shard->stage_since = SteadyClock::now();
       const size_t fc = options_.feedback_capacity;
       shard->fb_slots.resize(fc);
@@ -313,7 +305,7 @@ void ServeFrontEnd::ApplyStageTransition(Shard* shard, DriftStage from,
       // Entering the ladder: stale pre-drift calibration scores dilute
       // the quantile and stale corrections point the wrong way — keep
       // only the freshest quarter of the window and relearn biases.
-      shard->recal->ResetWindowTo(options_.recal_window / 4);
+      shard->recal->ResetWindowTo(kRecalWindow / 4);
       shard->corrector->Reset();
       metrics_.drift_recalibrations.Increment();
     }
@@ -383,18 +375,21 @@ void ServeFrontEnd::ApplyFeedback(Shard* shard) {
 }
 
 void ServeFrontEnd::WorkerLoop(Shard* shard) {
+  // Serves one popped request. The whole batch cycle — assembly, guarded
+  // batched inference, interval inversion, publication — is
+  // alloc-counted; after warmup the delta must be zero (bench_serving
+  // gates it).
+  const auto process_popped = [this, shard](Request* first) {
+    shard->depth.fetch_sub(1, std::memory_order_relaxed);
+    const uint64_t allocs_before = obs::prof::ThreadAllocCount();
+    ProcessFrom(shard, first);
+    shard->hot_allocs.fetch_add(obs::prof::ThreadAllocCount() - allocs_before,
+                                std::memory_order_relaxed);
+  };
   for (;;) {
     Request* first = nullptr;
     if (shard->queue.TryPop(&first)) {
-      shard->depth.fetch_sub(1, std::memory_order_relaxed);
-      // The whole batch cycle — assembly, guarded batched inference,
-      // interval inversion, publication — is alloc-counted; after
-      // warmup the delta must be zero (bench_serving gates it).
-      const uint64_t allocs_before = obs::prof::ThreadAllocCount();
-      ProcessFrom(shard, first);
-      shard->hot_allocs.fetch_add(
-          obs::prof::ThreadAllocCount() - allocs_before,
-          std::memory_order_relaxed);
+      process_popped(first);
       continue;
     }
     if (stopping_.load(std::memory_order_acquire)) {
@@ -402,12 +397,7 @@ void ServeFrontEnd::WorkerLoop(Shard* shard) {
       // failed pop and the flag read. Anything later is caught by the
       // post-join drain in Stop().
       if (!shard->queue.TryPop(&first)) break;
-      shard->depth.fetch_sub(1, std::memory_order_relaxed);
-      const uint64_t allocs_before = obs::prof::ThreadAllocCount();
-      ProcessFrom(shard, first);
-      shard->hot_allocs.fetch_add(
-          obs::prof::ThreadAllocCount() - allocs_before,
-          std::memory_order_relaxed);
+      process_popped(first);
       continue;
     }
     std::unique_lock<std::mutex> lock(shard->wake_mu);
@@ -501,14 +491,14 @@ void ServeFrontEnd::Publish(Request* request, const GuardedEstimate& estimate,
   // With feedback on, the shard's sliding-window recalibrator sets delta
   // once its quantile is finite (the frozen SplitConformal's delta until
   // then) and the ladder's kInflate stage widens every interval by
-  // drift_inflation. Degraded answers widen by degraded_inflation.
+  // kDriftInflation. Degraded answers widen by kDegradedInflation.
   double delta = conformal_->delta();
-  double inflation = estimate.degraded ? options_.degraded_inflation : 1.0;
+  double inflation = estimate.degraded ? kDegradedInflation : 1.0;
   if (options_.feedback) {
     const double recal_delta = shard.recal->delta();
     if (!std::isinf(recal_delta)) delta = recal_delta;
     if (shard.detector->stage() == DriftStage::kInflate) {
-      inflation *= options_.drift_inflation;
+      inflation *= kDriftInflation;
     }
   }
   const Interval iv = ClipToCardinality(

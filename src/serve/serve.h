@@ -47,8 +47,6 @@
 #include <vector>
 
 #include "ce/guarded.h"
-#include "ce/residual.h"
-#include "conformal/online.h"
 #include "conformal/split.h"
 #include "query/predicate.h"
 #include "serve/drift_detector.h"
@@ -73,7 +71,7 @@ struct Response {
   /// Sanitized cardinality estimate (0 for shed requests).
   double estimate = 0.0;
   /// Conformal prediction interval, clipped to [0, N]. Degraded answers
-  /// are inverted at delta * degraded_inflation; shed answers get the
+  /// are inverted at delta * kDegradedInflation; shed answers get the
   /// trivially valid [0, N].
   double lo = 0.0;
   double hi = 0.0;
@@ -126,6 +124,17 @@ struct alignas(64) Request {
 /// Serving front-end over per-shard guarded replicas.
 class ServeFrontEnd {
  public:
+  /// Breaker admission watermark: while a shard's breaker is open,
+  /// requests are shed once its queue holds >= watermark * capacity
+  /// entries (fail fast instead of queueing behind a sick primary).
+  static constexpr double kBreakerShedWatermark = 0.5;
+  /// Sliding calibration window of each shard's OnlineConformal
+  /// recalibrator (feedback on).
+  static constexpr size_t kRecalWindow = 512;
+  /// Extra interval-width multiplier while the ladder is at kInflate
+  /// (composes with kDegradedInflation).
+  static constexpr double kDriftInflation = 2.0;
+
   struct Options {
     /// Micro-batch budget B: a batch is dispatched as soon as B requests
     /// are assembled. 1 dispatches every request on its own.
@@ -136,36 +145,14 @@ class ServeFrontEnd {
     int flush_timeout_us = 200;
     /// Per-shard bounded queue capacity; a full queue sheds.
     size_t queue_capacity = 1024;
-    /// Breaker admission watermark: while a shard's breaker is open,
-    /// requests are shed once its queue holds >= watermark * capacity
-    /// entries (fail fast instead of queueing behind a sick primary).
-    double breaker_shed_watermark = 0.5;
-    /// Interval-width multiplier for degraded answers (matches
-    /// SingleTableHarness::Options::degraded_inflation).
-    double degraded_inflation = 4.0;
-
-    // ---- drift-adaptation loop (off by default; enabling it switches
-    // interval production from the frozen SplitConformal to a per-shard
-    // sliding-window recalibrator fed by Observe()) ----
-
-    /// Master switch for the online feedback loop.
+    /// Master switch for the online feedback loop (off by default;
+    /// enabling it switches interval production from the frozen
+    /// SplitConformal to a per-shard sliding-window recalibrator fed by
+    /// Observe()).
     bool feedback = false;
     /// Per-shard feedback ring capacity; a full ring drops observations
     /// (counted in feedback.dropped) instead of blocking the producer.
     size_t feedback_capacity = 1024;
-    /// Sliding calibration window of each shard's OnlineConformal
-    /// recalibrator.
-    size_t recal_window = 512;
-    /// Rolling-monitor horizon feeding the drift detector.
-    size_t monitor_window = 256;
-    /// Extra interval-width multiplier while the ladder is at kInflate
-    /// (composes with degraded_inflation).
-    double drift_inflation = 2.0;
-    /// Ladder thresholds; dips are measured against 1 - alpha of the
-    /// conformal predictor.
-    DriftDetectorOptions detector;
-    /// Residual-corrector knobs (AQO-style executed-query feedback).
-    ResidualCorrector::Options corrector;
   };
 
   /// One guard per shard (none owned; all must outlive the front-end).

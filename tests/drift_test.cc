@@ -264,24 +264,20 @@ TEST(ResidualCorrectorTest, SubspaceHashIgnoresLiterals) {
 }
 
 TEST(ResidualCorrectorTest, IdentityBelowMinObservations) {
-  ResidualCorrector::Options o;
-  o.min_observations = 4;
-  ResidualCorrector rc(o);
+  ResidualCorrector rc;
   const uint64_t fss = 42;
-  for (int i = 0; i < 3; ++i) {
+  for (uint64_t i = 0; i + 1 < ResidualCorrector::kMinObservations; ++i) {
     EXPECT_DOUBLE_EQ(rc.Correct(fss, 10.0), 10.0);
     rc.Observe(fss, 10.0, 100.0);
   }
-  EXPECT_DOUBLE_EQ(rc.Correct(fss, 10.0), 10.0);  // 3 < min_observations
+  // One short of kMinObservations: still the identity.
+  EXPECT_DOUBLE_EQ(rc.Correct(fss, 10.0), 10.0);
   rc.Observe(fss, 10.0, 100.0);
   EXPECT_GT(rc.Correct(fss, 10.0), 10.0);  // bias now applied
 }
 
 TEST(ResidualCorrectorTest, ConvergesTowardObservedBias) {
-  ResidualCorrector::Options o;
-  o.min_observations = 1;
-  o.smoothing = 0.5;
-  ResidualCorrector rc(o);
+  ResidualCorrector rc;
   const uint64_t fss = 7;
   for (int i = 0; i < 64; ++i) {
     rc.Observe(fss, 10.0, 110.0);  // persistent ~10x underestimate
@@ -292,27 +288,23 @@ TEST(ResidualCorrectorTest, ConvergesTowardObservedBias) {
 }
 
 TEST(ResidualCorrectorTest, CorrectionIsClamped) {
-  ResidualCorrector::Options o;
-  o.min_observations = 1;
-  o.max_correction = 4.0;
-  ResidualCorrector rc(o);
+  ResidualCorrector rc;
   const uint64_t fss = 9;
   for (int i = 0; i < 64; ++i) {
     rc.Observe(fss, 1.0, 100000.0);
   }
-  // (est + 1) * factor - 1 with factor clamped at 4.
-  EXPECT_LE(rc.Correct(fss, 1.0), 2.0 * 4.0 - 1.0 + 1e-9);
+  // (est + 1) * factor - 1 with factor clamped at kMaxCorrection.
+  EXPECT_LE(rc.Correct(fss, 1.0),
+            2.0 * ResidualCorrector::kMaxCorrection - 1.0 + 1e-9);
 }
 
 TEST(ResidualCorrectorTest, EvictsLowestCountWhenFull) {
-  ResidualCorrector::Options o;
-  o.capacity = 8;  // rounded to a tiny table
-  o.min_observations = 1;
-  ResidualCorrector rc(o);
-  for (uint64_t k = 0; k < 64; ++k) {
+  ResidualCorrector rc;
+  // Four times as many subspaces as slots.
+  for (uint64_t k = 0; k < 4 * ResidualCorrector::kCapacity; ++k) {
     rc.Observe(k * 0x9E3779B97F4A7C15ULL + 1, 10.0, 20.0);
   }
-  EXPECT_LE(rc.entries(), 8u);
+  EXPECT_LE(rc.entries(), ResidualCorrector::kCapacity);
   EXPECT_GT(rc.evictions(), 0u);
   rc.Reset();
   EXPECT_EQ(rc.entries(), 0u);
@@ -322,22 +314,18 @@ TEST(ResidualCorrectorTest, EvictsLowestCountWhenFull) {
 // Drift-detector ladder.
 // ------------------------------------------------------------------
 
-serve::DriftDetectorOptions DetOpts() {
-  serve::DriftDetectorOptions o;
-  o.min_observations = 4;
-  o.recovery_hold = 3;
-  return o;
-}
+using serve::DriftDetector;
 
 TEST(DriftDetectorTest, SilentBelowMinObservations) {
-  serve::DriftDetector d(0.9, DetOpts());
-  EXPECT_EQ(d.Update(0.0, 2), serve::DriftStage::kHealthy);
+  DriftDetector d(0.9);
+  EXPECT_EQ(d.Update(0.0, DriftDetector::kMinObservations - 1),
+            serve::DriftStage::kHealthy);
   EXPECT_EQ(d.stage(), serve::DriftStage::kHealthy);
 }
 
 TEST(DriftDetectorTest, EscalatesImmediatelyToMatchingStage) {
-  serve::DriftDetector d(0.9, DetOpts());
-  // Coverage dip of 0.1 >= inflate_dip (0.08): jump straight to
+  DriftDetector d(0.9);
+  // Coverage dip of 0.1 >= kInflateDip (0.08): jump straight to
   // kInflate without passing through kRecalibrate.
   EXPECT_EQ(d.Update(0.8, 100), serve::DriftStage::kInflate);
   // kInflate is the top: a total collapse escalates no further.
@@ -345,16 +333,21 @@ TEST(DriftDetectorTest, EscalatesImmediatelyToMatchingStage) {
 }
 
 TEST(DriftDetectorTest, DeescalatesOneStageAfterRecoveryHold) {
-  serve::DriftDetector d(0.9, DetOpts());
+  DriftDetector d(0.9);
   ASSERT_EQ(d.Update(0.5, 100), serve::DriftStage::kInflate);
-  // recovery_hold = 3 healthy observations step down exactly one stage.
-  EXPECT_EQ(d.Update(0.91, 100), serve::DriftStage::kInflate);
-  EXPECT_EQ(d.Update(0.91, 100), serve::DriftStage::kInflate);
+  // kRecoveryHold healthy observations step down exactly one stage.
+  for (size_t i = 0; i + 1 < DriftDetector::kRecoveryHold; ++i) {
+    ASSERT_EQ(d.Update(0.91, 100), serve::DriftStage::kInflate) << i;
+  }
   EXPECT_EQ(d.Update(0.91, 100), serve::DriftStage::kRecalibrate);
   // An unhealthy observation resets the streak.
+  for (size_t i = 0; i + 1 < DriftDetector::kRecoveryHold; ++i) {
+    ASSERT_EQ(d.Update(0.91, 100), serve::DriftStage::kRecalibrate) << i;
+  }
   EXPECT_EQ(d.Update(0.88, 100), serve::DriftStage::kRecalibrate);
-  EXPECT_EQ(d.Update(0.91, 100), serve::DriftStage::kRecalibrate);
-  EXPECT_EQ(d.Update(0.91, 100), serve::DriftStage::kRecalibrate);
+  for (size_t i = 0; i + 1 < DriftDetector::kRecoveryHold; ++i) {
+    ASSERT_EQ(d.Update(0.91, 100), serve::DriftStage::kRecalibrate) << i;
+  }
   EXPECT_EQ(d.Update(0.91, 100), serve::DriftStage::kHealthy);
 }
 

@@ -9,15 +9,19 @@
 #include <bit>
 #include <cstdint>
 #include <ios>
+#include <limits>
 
 #include "ce/guarded.h"
 #include "ce/histogram.h"
 #include "ce/lwnn.h"
 #include "ce/mscn.h"
 #include "common/parallel.h"
+#include "conformal/interval.h"
+#include "conformal/split.h"
 #include "data/generators.h"
 #include "harness/join_harness.h"
 #include "query/join_workload.h"
+#include "query/validate.h"
 #include "query/workload.h"
 
 namespace confcard {
@@ -256,6 +260,68 @@ TEST(SingleTableHarnessTest, RunnersReproduceGoldenRowsAtOneAndFourThreads) {
   SetThreads(saved_threads);
 }
 
+// Histogram estimates, except NaN for queries with an odd content key:
+// the guard answers those from its histogram fallback, degraded.
+class HalfFailingEstimator : public CardinalityEstimator {
+ public:
+  explicit HalfFailingEstimator(const Table& table) : hist_(table) {}
+  std::string name() const override { return "half-failing"; }
+  void EstimateBatch(const Query* queries, size_t n,
+                     double* out) const override {
+    hist_.EstimateBatch(queries, n, out);
+    for (size_t i = 0; i < n; ++i) {
+      if (QueryContentKey(queries[i]) % 2 == 1) {
+        out[i] = std::numeric_limits<double>::quiet_NaN();
+      }
+    }
+  }
+
+ private:
+  HistogramEstimator hist_;
+};
+
+// A degraded RunScpGuarded row is inverted at the healthy-calibrated
+// delta times kDegradedInflation, the constant the serving front-end
+// also reads, then clipped to [0, N].
+TEST(SingleTableHarnessTest, GuardedScpInflatesDegradedRowsBySharedConstant) {
+  Fixture f = MakeFixture();
+  HalfFailingEstimator primary(f.table);
+  GuardOptions gopts;
+  gopts.max_retries = 0;
+  gopts.breaker_threshold = 0;  // healthy queries always reach the primary
+  GuardedEstimator guard(primary, f.table, gopts);
+  SingleTableHarness h(f.table, f.train, f.calib, f.test, {});
+  const MethodResult r = h.RunScpGuarded(guard);
+
+  // The harness calibrates on the healthy calibration answers only.
+  std::vector<double> est, truth;
+  for (const LabeledQuery& lq : f.calib) {
+    const GuardedEstimate g = guard.EstimateGuarded(lq.query);
+    if (g.degraded) continue;
+    est.push_back(g.value);
+    truth.push_back(lq.cardinality);
+  }
+  SplitConformal scp(MakeScoring(ScoreKind::kResidual), h.options().alpha);
+  ASSERT_TRUE(scp.Calibrate(est, truth).ok());
+
+  const double n = static_cast<double>(f.table.num_rows());
+  size_t degraded = 0;
+  size_t unclipped = 0;
+  for (const PiRow& row : r.rows) {
+    if (!row.degraded) continue;
+    ++degraded;
+    const Interval want = ClipToCardinality(
+        scp.scoring().Invert(row.estimate, scp.delta() * kDegradedInflation),
+        n);
+    EXPECT_EQ(row.lo, want.lo);
+    EXPECT_EQ(row.hi, want.hi);
+    if (want.lo > 0.0 && want.hi < n) ++unclipped;
+  }
+  EXPECT_GT(degraded, 0u);
+  // Neither bound of these rows is clipped, so they show the factor.
+  EXPECT_GT(unclipped, 0u);
+}
+
 TEST(EstimatorInstanceIdTest, UniqueAcrossReusedStorage) {
   // Regression test for the estimate-cache bug: models re-created at
   // the same address must not alias. instance_id must be fresh even
@@ -299,11 +365,6 @@ TEST(SingleTableHarnessTest, MakeRejectsInvalidConfigs) {
 
   opts = {};
   opts.jk_folds = 1;
-  EXPECT_EQ(make(opts, f.calib, f.test).status().code(),
-            StatusCode::kInvalidArgument);
-
-  opts = {};
-  opts.degraded_inflation = 0.5;
   EXPECT_EQ(make(opts, f.calib, f.test).status().code(),
             StatusCode::kInvalidArgument);
 

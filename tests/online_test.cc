@@ -94,7 +94,6 @@ TEST(OnlineConformalTest, IntervalsTightenAsCalibrationGrows) {
 TEST(OnlineConformalTest, RollingMonitorsTrackPrequentialStream) {
   OnlineConformal::Options opts;
   opts.alpha = 0.2;
-  opts.monitor_window = 50;
   OnlineConformal oc(MakeScoring(ScoreKind::kResidual), opts);
   EXPECT_EQ(oc.observed(), 0u);
   EXPECT_EQ(oc.rolling_coverage(), 0.0);
@@ -105,8 +104,10 @@ TEST(OnlineConformalTest, RollingMonitorsTrackPrequentialStream) {
     oc.Observe(0.0, 30.0 * rng.NextGaussian());
   }
   EXPECT_EQ(oc.observed(), 500u);
-  // Prequential coverage over the last 50 observations hovers near
-  // 1 - alpha; 50 samples of a Bernoulli(0.8) stay well within 0.2.
+  EXPECT_EQ(oc.rolling_observations(), OnlineConformal::kMonitorWindow);
+  // Prequential coverage over the last kMonitorWindow (256) observations
+  // hovers near 1 - alpha; 256 samples of a Bernoulli(0.8) stay well
+  // within 0.2.
   EXPECT_NEAR(oc.rolling_coverage(), 0.8, 0.2);
   EXPECT_GT(oc.rolling_width(), 0.0);
 }

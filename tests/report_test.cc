@@ -11,12 +11,11 @@ namespace confcard {
 namespace {
 
 MethodResult MakeResult() {
-  MethodResult r;
-  r.model = "m";
-  r.method = "s-cp";
-  r.rows = {{100.0, 90.0, 50.0, 150.0},
-            {10.0, 12.0, 5.0, 20.0},
-            {500.0, 450.0, 300.0, 460.0}};
+  MethodResult r{.model = "m",
+                 .method = "s-cp",
+                 .rows = {{100.0, 90.0, 50.0, 150.0},
+                          {10.0, 12.0, 5.0, 20.0},
+                          {500.0, 450.0, 300.0, 460.0}}};
   FinalizeMethodResult(&r, 1000.0);
   return r;
 }
@@ -74,9 +73,7 @@ TEST(ReportTest, SeriesSortedByTruthAndNormalized) {
 }
 
 TEST(ReportTest, SeriesSubsamplesToMaxPoints) {
-  MethodResult r;
-  r.model = "m";
-  r.method = "x";
+  MethodResult r{.model = "m", .method = "x", .rows = {}};
   for (int i = 0; i < 100; ++i) {
     double v = static_cast<double>(i);
     r.rows.push_back({v, v, v - 1, v + 1});

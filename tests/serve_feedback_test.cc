@@ -1,12 +1,13 @@
 // The serving feedback loop's contracts: Observe routing and
 // backpressure, warmup seeding, replay determinism of the adaptive
 // trajectory (including out-of-order cross-shard feedback and 1-vs-4
-// CONFCARD_THREADS), recalibration with a window of 1, an all-degraded
-// primary (every answer from the fallback chain) keeping the loop
-// functional, the ladder topping out at kInflate on the primary with the
-// guard's breaker untouched, a golden drift-and-recover trajectory at 1
-// and 4 shards, a heavier tail beyond the quantile leaving the ladder
-// healthy, and the "shed":true JSONL record satellite.
+// CONFCARD_THREADS), an unwarmed recalibrator falling back to the frozen
+// delta, an all-degraded primary (every answer from the fallback chain)
+// keeping the loop functional, the ladder topping out at kInflate on the
+// primary with the guard's breaker untouched, a golden drift-and-recover
+// trajectory at 1 and 4 shards, a heavier tail beyond the quantile
+// leaving the ladder healthy, and the "shed":true JSONL record
+// satellite.
 #include "serve/serve.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,8 @@
 #include "ce/lwnn.h"
 #include "common/fault.h"
 #include "common/parallel.h"
+#include "conformal/interval.h"
+#include "conformal/online.h"
 #include "conformal/scoring.h"
 #include "conformal/split.h"
 #include "data/generators.h"
@@ -247,21 +250,25 @@ TEST(ServeFeedbackTest, ThreadCountDoesNotChangeTrajectory) {
   EXPECT_EQ(one, four);
 }
 
-TEST(ServeFeedbackTest, RecalWindowOfOneServesFiniteIntervals) {
+// Feedback on and no warmup: the recalibrator starts empty, and at
+// alpha 0.1 its quantile stays infinite until it holds 9 scores, so the
+// first 9 answers must fall back to the frozen S-CP delta rather than
+// serve infinite or inverted intervals.
+TEST(ServeFeedbackTest, UnwarmedRecalibratorFallsBackToFrozenDelta) {
   FeedbackFixture f;
-  ServeFrontEnd::Options o = f.FeedbackOptions();
-  o.recal_window = 1;
-  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, o);
-  front.WarmupFeedback(f.base.workload);
+  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, f.FeedbackOptions());
   const std::vector<Served> served = RunLockstep(&front, f.base.workload, 2);
   front.Stop();
   for (const Served& s : served) {
     EXPECT_LE(s.lo, s.hi);
     EXPECT_GE(s.lo, 0.0);
-    // A size-1 calibration window at alpha 0.1 cannot produce a finite
-    // quantile, so the loop must fall back to the frozen delta rather
-    // than serve infinite or inverted intervals.
     EXPECT_FALSE(std::isinf(s.hi));
+  }
+  for (size_t i = 0; i < 9; ++i) {
+    const Interval frozen =
+        ClipToCardinality(f.scp.Predict(served[i].estimate), f.num_rows);
+    EXPECT_EQ(served[i].lo, frozen.lo) << i;
+    EXPECT_EQ(served[i].hi, frozen.hi) << i;
   }
 }
 
@@ -306,17 +313,13 @@ TEST(ServeFeedbackTest, AllDegradedWindowKeepsAdapting) {
   }
 }
 
-// Truths pinned at N over a 64-query monitor horizon, where each miss
-// deepens the coverage dip four times as much as at the default 256,
-// push the ladder as far as it goes. It tops out at kInflate, every
-// answer stays on the primary, and the front-end never touches the
-// guard's breaker (guards outlive front-ends and other callers may share
-// them).
+// Truths pinned at N push the ladder as far as it goes. It tops out at
+// kInflate, every answer stays on the primary, and the front-end never
+// touches the guard's breaker (guards outlive front-ends and other
+// callers may share them).
 TEST(ServeFeedbackTest, PinnedTruthsTopOutAtInflateOnThePrimary) {
   FeedbackFixture f;
-  ServeFrontEnd::Options o = f.FeedbackOptions();
-  o.monitor_window = 64;
-  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, o);
+  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, f.FeedbackOptions());
   front.WarmupFeedback(f.base.workload);
   int breaker_open = 0;
   // Runs once per response, so it also samples the breaker mid-run.
@@ -386,32 +389,36 @@ TEST(ServeFeedbackTest, DriftAndRecoverTrajectoryMatchesGolden) {
 // The ladder reads prequential coverage alone. The queries the frozen
 // S-CP already misses report truths 100x further out; their scores
 // explode, but they keep missing and the rest keep hitting, so coverage
-// stays nominal and no stage is entered. An inert corrector
-// (max_correction 1) keeps the served estimates, and so the hit set,
-// those of the frozen predictor.
+// stays nominal and no stage is entered. Checked on a feedback shard's
+// recalibrator feeding its detector, without the residual corrector: a
+// corrector moves the served estimates, and so which queries are hit.
 TEST(ServeFeedbackTest, HeavierTailBeyondTheQuantileStaysHealthy) {
   FeedbackFixture f;
+  std::vector<double> estimates;
   std::vector<bool> missed;
   for (const LabeledQuery& lq : f.base.workload) {
-    missed.push_back(!f.scp.Predict(f.primary.EstimateCardinality(lq.query))
-                          .Contains(lq.cardinality));
+    estimates.push_back(f.primary.EstimateCardinality(lq.query));
+    missed.push_back(!f.scp.Predict(estimates.back()).Contains(lq.cardinality));
   }
   ASSERT_GT(std::count(missed.begin(), missed.end(), true), 0);
-  ServeFrontEnd::Options o = f.FeedbackOptions();
-  o.corrector.max_correction = 1.0;
-  ServeFrontEnd front({&f.guard}, f.scp, f.num_rows, o);
-  front.WarmupFeedback(f.base.workload);
-  const auto heavier_tail = [&f, &missed](int round, size_t i) {
-    const double truth = f.base.workload[i].cardinality;
-    return round >= 30 && missed[i] ? truth * 100.0 + 1.0 : truth;
-  };
-  const std::vector<Served> served =
-      RunLockstep(&front, f.base.workload, 40, heavier_tail);
-  front.Stop();
-  const int unhealthy = static_cast<int>(
-      std::count_if(served.begin(), served.end(), [](const Served& s) {
-        return s.stage != static_cast<int>(DriftStage::kHealthy);
-      }));
+  OnlineConformal::Options ro;
+  ro.alpha = f.scp.alpha();
+  ro.window = ServeFrontEnd::kRecalWindow;
+  ro.publish_metrics = false;
+  OnlineConformal recal(f.scp.scoring_ptr(), ro);
+  DriftDetector detector(1.0 - f.scp.alpha());
+  int unhealthy = 0;
+  // Round -1 is the warmup pass.
+  for (int round = -1; round < 40; ++round) {
+    for (size_t i = 0; i < f.base.workload.size(); ++i) {
+      const double truth = f.base.workload[i].cardinality;
+      recal.Observe(estimates[i],
+                    round >= 30 && missed[i] ? truth * 100.0 + 1.0 : truth);
+      const DriftStage stage = detector.Update(recal.rolling_coverage(),
+                                               recal.rolling_observations());
+      if (stage != DriftStage::kHealthy) ++unhealthy;
+    }
+  }
   EXPECT_EQ(unhealthy, 0);
 }
 

@@ -300,12 +300,12 @@ TEST(ServeTest, OpenBreakerShedsAboveWatermark) {
   ServeFrontEnd::Options opts;
   opts.max_batch = 1;
   opts.flush_timeout_us = 0;
+  // Sheds once the backlog hits kBreakerShedWatermark (0.5) * 8 = 4.
   opts.queue_capacity = 8;
-  opts.breaker_shed_watermark = 0.25;  // shed once the backlog hits 2
   ServeFrontEnd front({&guard}, f.scp, f.num_rows, opts);
 
-  // Worker holds one request inside the gated fallback; by the fourth
-  // submit the queue depth is >= 2, so admission control sheds.
+  // Worker holds at most one request inside the gated fallback; by the
+  // sixth submit the queue depth is >= 4, so admission control sheds.
   constexpr size_t kSubmits = 6;
   std::deque<Request> requests(kSubmits);
   size_t shed_breaker = 0;
@@ -385,8 +385,15 @@ TEST(ServeTest, InvalidQueryIsQuarantinedThroughServe) {
   EXPECT_FALSE(r.response.shed);
   EXPECT_EQ(r.response.source, -1);
   EXPECT_EQ(r.response.estimate, 0.0);
-  EXPECT_GE(r.response.lo, 0.0);
-  EXPECT_LE(r.response.hi, f.num_rows);
+  // Degraded: inverted at delta * kDegradedInflation, then clipped to
+  // [0, N]. The upper bound stays below N, so clipping cannot hide the
+  // factor.
+  const Interval want = ClipToCardinality(
+      f.scp.scoring().Invert(0.0, f.scp.delta() * kDegradedInflation),
+      f.num_rows);
+  ASSERT_LT(want.hi, f.num_rows);
+  EXPECT_EQ(r.response.lo, want.lo);
+  EXPECT_EQ(r.response.hi, want.hi);
   front.Stop();
 }
 

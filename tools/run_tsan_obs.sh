@@ -8,8 +8,9 @@
 # micro-batcher/shard pipeline, lock-free circuit breaker, plus the
 # bench_serving smoke with its bit-identity and zero-alloc gates),
 # drift-smoke (the self-healing loop: feedback rings, sliding-window
-# recalibration, staged-degradation transitions, plus the bench_drift
-# smoke with its replay and zero-alloc gates), fault-smoke (the
+# recalibration and the OnlineConformal recalibrator's own tests,
+# staged-degradation transitions, plus the bench_drift smoke with its
+# replay and zero-alloc gates), fault-smoke (the
 # fault registry, the guard's batched attempt 0 and per-query ladder,
 # plus the bench_faults sweep, which drives the guard with faults armed
 # from a ParallelFor), harness-smoke (harness_test and
