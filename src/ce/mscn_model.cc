@@ -111,11 +111,27 @@ MscnModel::MscnModel(size_t table_dim, size_t join_dim, size_t pred_dim,
       std::vector<size_t>{3 * h, config.final_hidden, 1}, rng);
 }
 
-std::vector<nn::Parameter*> MscnModel::Parameters() {
+std::vector<nn::Parameter*> MscnModel::TrainedParameters(
+    const std::vector<MscnInput>& inputs) {
+  // A set module that no input has a row in never gets a gradient, so
+  // Adam would leave its weights exactly as they are (a zero moment
+  // makes a zero step); it stays out of the optimizer. On a single
+  // table that is the join module.
+  using Set = std::vector<std::vector<float>> MscnInput::*;
+  auto any_row = [&inputs](Set set) {
+    return std::any_of(
+        inputs.begin(), inputs.end(),
+        [set](const MscnInput& in) { return !(in.*set).empty(); });
+  };
+  const std::pair<nn::Mlp*, bool> modules[] = {
+      {table_mlp_.get(), any_row(&MscnInput::tables)},
+      {join_mlp_.get(), any_row(&MscnInput::joins)},
+      {pred_mlp_.get(), any_row(&MscnInput::predicates)},
+      {out_mlp_.get(), true}};
   std::vector<nn::Parameter*> out;
-  for (nn::Mlp* m : {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(),
-                     out_mlp_.get()}) {
-    for (nn::Parameter* p : m->Parameters()) out.push_back(p);
+  for (const auto& [mlp, trained] : modules) {
+    if (!trained) continue;
+    for (nn::Parameter* p : mlp->Parameters()) out.push_back(p);
   }
   return out;
 }
@@ -176,7 +192,7 @@ Status MscnModel::Train(const std::vector<MscnInput>& inputs,
   if (inputs.size() != log_targets.size()) {
     return Status::InvalidArgument("inputs/targets size mismatch");
   }
-  nn::Adam adam(Parameters(), config_.lr);
+  nn::Adam adam(TrainedParameters(inputs), config_.lr);
   Rng rng(config_.seed ^ 0xA5A5A5A5ULL);
 
   std::vector<size_t> order(inputs.size());
@@ -227,7 +243,7 @@ Status MscnModel::Train(const std::vector<MscnInput>& inputs,
 }
 
 void MscnModel::SerializeParams(ArchiveWriter* writer) {
-  // All four set/output MLPs, serialized in Parameters() order.
+  // All four set/output MLPs, an untrained join module included.
   for (nn::Mlp* m : {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(),
                      out_mlp_.get()}) {
     nn::SerializeParameters(*m, writer);

@@ -83,7 +83,11 @@ class MscnModel {
   nn::Tensor ApplyPacked(const MscnPackedBatch& batch) const;
   /// Backprop of dLoss/dPred through the whole network.
   void Backward(const nn::Tensor& grad_pred);
-  std::vector<nn::Parameter*> Parameters();
+  /// The parameters Adam updates when training on `inputs`: every
+  /// module's, in table, join, predicate, output order, except a set
+  /// module no input has a row in.
+  std::vector<nn::Parameter*> TrainedParameters(
+      const std::vector<MscnInput>& inputs);
 
   MscnConfig config_;
   size_t table_dim_, join_dim_, pred_dim_;

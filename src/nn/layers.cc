@@ -53,20 +53,6 @@ inline void AddRowVec(const float* wrow, size_t m, float* orow) {
   for (; j < m; ++j) orow[j] += wrow[j];
 }
 
-// orow[0:m) += av * wrow[0:m).
-template <typename L>
-inline void AddScaledRowVec(const float* wrow, size_t m, float av,
-                            float* orow) {
-  constexpr size_t W = L::kWidth;
-  const typename L::Vec bav = L::Broadcast(av);
-  size_t j = 0;
-  for (; j + W <= m; j += W) {
-    L::Store(orow + j,
-             L::Add(L::Load(orow + j), L::Mul(bav, L::Load(wrow + j))));
-  }
-  for (; j < m; ++j) orow[j] += av * wrow[j];
-}
-
 // out[r] = sum over the row's set indices p (ascending) of W[p, c0:c1),
 // then + bias — the exact accumulation sequence the dense GEMM performs
 // on the equivalent one-hot tensor (1.0f * w == w, and skipped zero
@@ -104,45 +90,6 @@ Tensor OneHotForwardCols(const SparseRows& input, const Parameter& weight,
   }
   // The W=1 instantiation is the scalar reference loop, unchanged.
   return OneHotForwardColsImpl<simd::ScalarLanes>(input, weight, bias, c0, c1);
-}
-
-// Dense forward restricted to output columns [c0, c1): per element a
-// p-ascending sum with the same zero-input skip as the GEMM kernels,
-// then + bias — bit-identical to the corresponding slice of
-// LinearForward for finite weights.
-template <typename L>
-Tensor DenseForwardColsImpl(const Tensor& input, const Parameter& weight,
-                            const Parameter& bias, size_t c0, size_t c1) {
-  const size_t k = input.cols(), m = c1 - c0;
-  Tensor out = Tensor::Uninitialized(input.rows(), m);
-  ForEachRowBlock(input.rows(), 2 * input.rows() * k * m,
-                  [&](size_t r0, size_t r1) {
-                    const float* brow = bias.value.RowPtr(0) + c0;
-                    for (size_t r = r0; r < r1; ++r) {
-                      const float* arow = input.RowPtr(r);
-                      float* orow = out.RowPtr(r);
-                      std::memset(orow, 0, m * sizeof(float));
-                      for (size_t p = 0; p < k; ++p) {
-                        const float av = arow[p];
-                        if (av == 0.0f) continue;
-                        AddScaledRowVec<L>(weight.value.RowPtr(p) + c0, m, av,
-                                           orow);
-                      }
-                      AddRowVec<L>(brow, m, orow);
-                    }
-                  });
-  return out;
-}
-
-Tensor DenseForwardCols(const Tensor& input, const Parameter& weight,
-                        const Parameter& bias, size_t c0, size_t c1) {
-  if constexpr (simd::kHaveNativeLanes) {
-    if (SimdEnabled()) {
-      return DenseForwardColsImpl<simd::NativeLanes>(input, weight, bias, c0,
-                                                     c1);
-    }
-  }
-  return DenseForwardColsImpl<simd::ScalarLanes>(input, weight, bias, c0, c1);
 }
 
 }  // namespace
@@ -194,19 +141,19 @@ void BiasActivateRows(Tensor* out, const float* b, bool relu) {
   }
 }
 
+void BiasActivate(Tensor* out, const float* b, bool relu) {
+  if constexpr (simd::kHaveNativeLanes) {
+    if (SimdEnabled()) return BiasActivateRows<simd::NativeLanes>(out, b, relu);
+  }
+  BiasActivateRows<simd::ScalarLanes>(out, b, relu);
+}
+
 }  // namespace
 
 Tensor Dense::ApplyActivated(const Tensor& input, bool relu) const {
   CONFCARD_DCHECK(input.cols() == weight_.value.rows());
   Tensor out = MatMul(input, weight_.value);
-  const float* b = bias_.value.RowPtr(0);
-  if constexpr (simd::kHaveNativeLanes) {
-    if (SimdEnabled()) {
-      BiasActivateRows<simd::NativeLanes>(&out, b, relu);
-      return out;
-    }
-  }
-  BiasActivateRows<simd::ScalarLanes>(&out, b, relu);
+  BiasActivate(&out, bias_.value.RowPtr(0), relu);
   return out;
 }
 
@@ -266,7 +213,9 @@ Tensor MaskedDense::ApplyCols(const Tensor& input, size_t col_begin,
                               size_t col_end) const {
   CONFCARD_DCHECK(input.cols() == weight_.value.rows());
   CONFCARD_DCHECK(col_begin <= col_end && col_end <= weight_.value.cols());
-  return DenseForwardCols(input, weight_, bias_, col_begin, col_end);
+  Tensor out = MatMulCols(input, weight_.value, col_begin, col_end);
+  BiasActivate(&out, bias_.value.RowPtr(0) + col_begin, /*relu=*/false);
+  return out;
 }
 
 Tensor MaskedDense::Backward(const Tensor& grad_output) {

@@ -112,8 +112,9 @@ class MaskedDense : public Layer {
                          size_t col_end) const;
   /// Dense inference forward restricted to output columns
   /// [col_begin, col_end) — what Naru's sampler needs from the MADE
-  /// output layer, which is softmaxed one column block at a time.
-  /// Bit-identical to the corresponding slice of Apply.
+  /// output layer, which is softmaxed one column block at a time:
+  /// MatMulCols, then + bias. Bit-identical to the corresponding slice
+  /// of Apply.
   Tensor ApplyCols(const Tensor& input, size_t col_begin,
                    size_t col_end) const;
 

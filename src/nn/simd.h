@@ -40,6 +40,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #if !defined(CONFCARD_SIMD_OFF)
 #if defined(__AVX512F__)
@@ -102,6 +103,7 @@ struct ScalarLanes {
   static Vec Div(Vec a, Vec b) { return a / b; }
   static Vec Sqrt(Vec v) { return std::sqrt(v); }
   static Vec Relu(Vec v) { return v < 0.0f ? 0.0f : v; }
+  static uint32_t NonzeroMask(Vec v) { return v != 0.0f; }
 };
 
 #if defined(CONFCARD_SIMD_AVX512)
@@ -125,6 +127,10 @@ struct Avx512Lanes {
   // Same -0.0/NaN reasoning as the AVX2 variant: vmaxps returns its
   // second operand on equal or unordered inputs at every width.
   static Vec Relu(Vec v) { return _mm512_maskz_max_ps(kAll, Zero(), v); }
+  // Not-equal, unordered: true for NaN lanes, as `!=` is.
+  static uint32_t NonzeroMask(Vec v) {
+    return _mm512_cmp_ps_mask(v, Zero(), _CMP_NEQ_UQ);
+  }
   static constexpr __mmask16 kAll = 0xFFFF;
 };
 
@@ -149,6 +155,10 @@ struct Avx2Lanes {
   // unordered, so -0.0f passes through and NaN stays NaN — exactly
   // `v < 0.0f ? 0.0f : v`.
   static Vec Relu(Vec v) { return _mm256_max_ps(Zero(), v); }
+  static uint32_t NonzeroMask(Vec v) {
+    return static_cast<uint32_t>(
+        _mm256_movemask_ps(_mm256_cmp_ps(v, Zero(), _CMP_NEQ_UQ)));
+  }
 };
 
 using NativeLanes = Avx2Lanes;
@@ -170,6 +180,10 @@ struct Sse2Lanes {
   static Vec Sqrt(Vec v) { return _mm_sqrt_ps(v); }
   // Same -0.0/NaN reasoning as the AVX2 variant.
   static Vec Relu(Vec v) { return _mm_max_ps(Zero(), v); }
+  // cmpneqps is the unordered not-equal: true for NaN lanes.
+  static uint32_t NonzeroMask(Vec v) {
+    return static_cast<uint32_t>(_mm_movemask_ps(_mm_cmpneq_ps(v, Zero())));
+  }
 };
 
 using NativeLanes = Sse2Lanes;
@@ -192,6 +206,12 @@ struct NeonLanes {
   // vmaxq would return +0.0 for -0.0 input; the select reproduces the
   // scalar `v < 0.0f ? 0.0f : v` exactly (NaN < 0 is false -> NaN kept).
   static Vec Relu(Vec v) { return vbslq_f32(vcltq_f32(v, Zero()), Zero(), v); }
+  // Lane l contributes 1 << l unless it compares equal to zero (a NaN
+  // never does).
+  static uint32_t NonzeroMask(Vec v) {
+    const uint32x4_t bits = {1, 2, 4, 8};
+    return vaddvq_u32(vbicq_u32(bits, vceqq_f32(v, Zero())));
+  }
 };
 
 using NativeLanes = NeonLanes;

@@ -1,6 +1,7 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -175,7 +176,7 @@ void MatMulTransBRows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
 }
 
 // ---------------------------------------------------------------------
-// Vector kernel: one register-tiled GEMM for all three products. Bit
+// Vector kernel: one register-tiled GEMM for every dense product. Bit
 // identity with the scalar kernels above rests on two invariants:
 // (1) vector lanes only span independent OUTPUT columns (the j
 // dimension), so every output element still accumulates its p-terms
@@ -187,104 +188,174 @@ void MatMulTransBRows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
 // only when both are -0.0), so adding a zero product changes nothing
 // and skipping one keeps the bits for finite B. MatMulTransB runs the
 // same kernel over B transposed; its scalar reference skips nothing,
-// so there the identity holds for finite weights. Guarded by
-// `if constexpr (kHaveNativeLanes)` at the dispatch sites so
-// scalar-only builds never instantiate it.
+// so there the identity holds for finite weights. The vector
+// instantiations sit behind `if constexpr (kHaveNativeLanes)` at the
+// dispatch sites; MatMulCols also runs the kernel on ScalarLanes.
 // ---------------------------------------------------------------------
 
-// Packs the terms of the R-row block at output row i that survive the
-// zero skip: a p is dropped when A(i + r, p) == 0 for every r. Kept
-// terms land in ascending p order, pidx[t] = p and pa[t*R + r] =
-// A(i + r, p). The skip depends only on the block and p, so the
-// j-tiles below share one pack. Returns the number of kept terms.
-template <size_t R, typename AAt>
-size_t PackBlock(const AAt& a_at, size_t i, size_t k, float* pa,
-                 uint32_t* pidx) {
-  size_t np = 0;
-  for (size_t p = 0; p < k; ++p) {
-    float v[R];
-    bool all_zero = true;
-    for (size_t r = 0; r < R; ++r) {
-      v[r] = a_at(i + r, p);
-      all_zero = all_zero && v[r] == 0.0f;
+// One product for the tiled kernel, every operand read in place:
+// A'(i, p) = a[i * a_row + p * a_term] over the terms p < k,
+// B(p, j) = b[p * ldb + j] and C(i, j) = c[i * ldc + j] over the
+// columns j < m. MatMul reads A through the strides (k, 1), MatMulTransA
+// through (1, n); the separate B and C strides let MatMulCols take a
+// column range of B. The kernels below are instantiated per A layout:
+// with kRowsOfA the term stride is the constant 1, else the row stride
+// is.
+struct Gemm {
+  const float* a;
+  size_t a_row, a_term, k;
+  const float* b;
+  size_t ldb;
+  float* c;
+  size_t ldc, m;
+};
+
+// The terms of the R-row block at row i that survive the zero skip, in
+// ascending order into pidx; returns their number. A term is dropped
+// only when all R values A'(i + r, p) are 0.0f, so a NaN keeps it.
+// Along rows of A, W terms at a time OR the rows' nonzero lane masks;
+// the other terms (all of a column block's, and the last k mod W of a
+// row block's) are tested one by one, so no load leaves a row's [0, k).
+template <typename L, size_t R, bool kRowsOfA>
+size_t KeptTerms(const Gemm& g, size_t i, uint32_t* pidx) {
+  constexpr size_t W = L::kWidth;
+  const size_t a_row = kRowsOfA ? g.a_row : 1;
+  const size_t a_term = kRowsOfA ? 1 : g.a_term;
+  size_t np = 0, p = 0;
+  if constexpr (W > 1 && kRowsOfA) {
+    for (; p + W <= g.k; p += W) {
+      uint32_t mask = 0;
+      for (size_t r = 0; r < R; ++r) {
+        mask |= L::NonzeroMask(L::Load(g.a + (i + r) * a_row + p));
+      }
+      for (; mask != 0; mask &= mask - 1) {
+        pidx[np++] = static_cast<uint32_t>(p + std::countr_zero(mask));
+      }
     }
-    if (all_zero) continue;
-    for (size_t r = 0; r < R; ++r) pa[np * R + r] = v[r];
-    pidx[np++] = static_cast<uint32_t>(p);
+  }
+  for (; p < g.k; ++p) {
+    uint32_t kept = 0;
+    for (size_t r = 0; r < R; ++r) {
+      kept |= simd::ScalarLanes::NonzeroMask(g.a[(i + r) * a_row + p * a_term]);
+    }
+    pidx[np] = static_cast<uint32_t>(p);
+    np += kept;
   }
   return np;
 }
 
-// C[0:R)[j, j + V*W) of the block = the packed terms times the matching
-// B rows; B and C rows are both m floats long. The R x V accumulators
-// live across the whole term loop and are stored once at the end. At
-// 4 x 3 they, 3 B vectors, a broadcast and a product need 17 vector
-// registers: on AVX-512 (48 columns) they fit in the 32 zmm registers;
-// on AVX2 (24 columns) GCC keeps one accumulator of the 16 ymm
-// registers on the stack, which changes no value.
-template <typename L, size_t R, size_t V>
-inline void Tile(const float* pa, const uint32_t* pidx, size_t np,
-                 const float* b, size_t m, size_t j, float* c) {
+// C[i, i + R)[j, j + V*W) = the kept terms of A'[i, i + R) times the
+// matching B rows, with each A value broadcast straight from A. The
+// R x V accumulators live across the whole term loop and are stored
+// once at the end. At 4 x 3 they, 3 B vectors, a broadcast and a
+// product need 17 vector registers: on AVX-512 (48 columns) they fit
+// in the 32 zmm registers; on AVX2 (24 columns) GCC keeps one
+// accumulator of the 16 ymm registers on the stack, which changes no
+// value.
+template <typename L, size_t R, size_t V, bool kRowsOfA>
+inline void Tile(const Gemm& g, size_t i, const uint32_t* pidx, size_t np,
+                 size_t j) {
   constexpr size_t W = L::kWidth;
+  const size_t a_term = kRowsOfA ? 1 : g.a_term;
+  const size_t ldb = g.ldb;
   typename L::Vec acc[R][V];
   for (size_t r = 0; r < R; ++r) {
     for (size_t v = 0; v < V; ++v) acc[r][v] = L::Zero();
   }
+  const float* arow[R];
+  for (size_t r = 0; r < R; ++r) {
+    arow[r] = g.a + (i + r) * (kRowsOfA ? g.a_row : 1);
+  }
   for (size_t t = 0; t < np; ++t) {
-    const float* brow = b + size_t{pidx[t]} * m + j;
+    const size_t p = pidx[t];
+    const float* brow = g.b + p * ldb + j;
     typename L::Vec bv[V];
     for (size_t v = 0; v < V; ++v) bv[v] = L::Load(brow + v * W);
     for (size_t r = 0; r < R; ++r) {
-      const typename L::Vec av = L::Broadcast(pa[t * R + r]);
+      const typename L::Vec av = L::Broadcast(arow[r][p * a_term]);
       for (size_t v = 0; v < V; ++v) {
         acc[r][v] = L::Add(acc[r][v], L::Mul(av, bv[v]));
       }
     }
   }
+  float* c = g.c + i * g.ldc + j;
   for (size_t r = 0; r < R; ++r) {
-    for (size_t v = 0; v < V; ++v) L::Store(c + r * m + j + v * W, acc[r][v]);
+    for (size_t v = 0; v < V; ++v) L::Store(c + r * g.ldc + v * W, acc[r][v]);
   }
 }
 
-// Every column of an R-row block: 3-vector tiles, then one 2- or
-// 1-vector tile for the remaining whole vectors, then single scalar
-// columns (a width-1 tile per column) for the last m mod W.
-template <typename L, size_t R>
-void BlockColumns(const float* pa, const uint32_t* pidx, size_t np,
-                  const Tensor& b, float* c) {
+// Columns [j, m) of the R-row block at row i: 3-vector tiles, then one
+// 2- or 1-vector tile for the remaining whole vectors, then the last
+// m mod W columns as ScalarLanes tiles, three columns at a time.
+template <typename L, size_t R, bool kRowsOfA>
+void BlockColumns(const Gemm& g, size_t i, const uint32_t* pidx, size_t np,
+                  size_t j = 0) {
   constexpr size_t W = L::kWidth;
-  const size_t m = b.cols();
-  const float* bp = b.data().data();
-  size_t j = 0;
-  for (; j + 3 * W <= m; j += 3 * W) Tile<L, R, 3>(pa, pidx, np, bp, m, j, c);
+  const size_t m = g.m;
+  for (; j + 3 * W <= m; j += 3 * W) {
+    Tile<L, R, 3, kRowsOfA>(g, i, pidx, np, j);
+  }
   if (j + 2 * W <= m) {
-    Tile<L, R, 2>(pa, pidx, np, bp, m, j, c);
+    Tile<L, R, 2, kRowsOfA>(g, i, pidx, np, j);
     j += 2 * W;
   } else if (j + W <= m) {
-    Tile<L, R, 1>(pa, pidx, np, bp, m, j, c);
+    Tile<L, R, 1, kRowsOfA>(g, i, pidx, np, j);
     j += W;
   }
-  for (; j < m; ++j) Tile<simd::ScalarLanes, R, 1>(pa, pidx, np, bp, m, j, c);
+  if constexpr (W > 1) {
+    if (j < m) BlockColumns<simd::ScalarLanes, R, kRowsOfA>(g, i, pidx, np, j);
+  }
 }
 
-// C[r0:r1) = A' * B where A'(i, p) = a_at(i, p) over p < k: 4-row
-// blocks, then single rows, each packed once and then swept across
-// every column tile.
-template <typename L, typename AAt>
-void TiledRows(const AAt& a_at, size_t k, const Tensor& b, Tensor* c,
-               size_t r0, size_t r1) {
-  // Both buffers come from the thread's tensor arena.
-  FloatBuffer pa(4 * k);
-  std::vector<uint32_t, DefaultInitAllocator<uint32_t>> pidx(k);
+// C[r0:r1) of the product: 4-row blocks, then single rows, each
+// scanned once for its kept terms and then swept across every column
+// tile. Column blocks (MatMulTransA) are scanned G = W/4 at a time: one
+// vector load of A's row p covers W rows of A', each 4-bit group of its
+// nonzero mask decides whether p is kept in one block, and block b's
+// list fills pidx[b * k, (b + 1) * k).
+template <typename L, bool kRowsOfA>
+void TiledRows(const Gemm& g, size_t r0, size_t r1) {
+  if (g.m == 0) return;  // an empty C has null rows: nothing to store
+  if (g.k == 0) {  // no terms, and A may have no storage to point into
+    for (size_t i = r0; i < r1; ++i) std::fill_n(g.c + i * g.ldc, g.m, 0.0f);
+    return;
+  }
+  constexpr size_t W = L::kWidth;
+  constexpr size_t G = kRowsOfA ? 1 : std::max<size_t>(1, W / 4);
+  // From the thread's tensor arena.
+  std::vector<uint32_t, DefaultInitAllocator<uint32_t>> pidx(G * g.k);
   size_t i = r0;
+  if constexpr (!kRowsOfA && W >= 4) {
+    for (; i + W <= r1; i += W) {
+      size_t np[G] = {};
+      for (size_t p = 0; p < g.k; ++p) {
+        const uint32_t mask = L::NonzeroMask(L::Load(g.a + p * g.a_term + i));
+        for (size_t b = 0; b < G; ++b) {
+          pidx[b * g.k + np[b]] = static_cast<uint32_t>(p);
+          np[b] += (mask >> (4 * b) & 0xF) != 0;
+        }
+      }
+      for (size_t b = 0; b < G; ++b) {
+        BlockColumns<L, 4, false>(g, i + 4 * b, pidx.data() + b * g.k, np[b]);
+      }
+    }
+  }
   for (; i + 4 <= r1; i += 4) {
-    const size_t np = PackBlock<4>(a_at, i, k, pa.data(), pidx.data());
-    BlockColumns<L, 4>(pa.data(), pidx.data(), np, b, c->RowPtr(i));
+    const size_t np = KeptTerms<L, 4, kRowsOfA>(g, i, pidx.data());
+    BlockColumns<L, 4, kRowsOfA>(g, i, pidx.data(), np);
   }
   for (; i < r1; ++i) {
-    const size_t np = PackBlock<1>(a_at, i, k, pa.data(), pidx.data());
-    BlockColumns<L, 1>(pa.data(), pidx.data(), np, b, c->RowPtr(i));
+    const size_t np = KeptTerms<L, 1, kRowsOfA>(g, i, pidx.data());
+    BlockColumns<L, 1, kRowsOfA>(g, i, pidx.data(), np);
   }
+}
+
+// Runs the product over C's n rows, each row chunk on lanes L.
+template <typename L, bool kRowsOfA = true>
+void Tiled(const Gemm& g, size_t n) {
+  ForEachRowBlock(n, 2 * n * g.k * g.m, [&g](size_t r0, size_t r1) {
+    TiledRows<L, kRowsOfA>(g, r0, r1);
+  });
 }
 
 // B^T, for MatMulTransB's pass through the tiled kernel. Strips of 8
@@ -310,10 +381,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor c = Tensor::Uninitialized(n, m);
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
-      auto a_at = [&a](size_t i, size_t p) { return a.RowPtr(i)[p]; };
-      ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
-        TiledRows<simd::NativeLanes>(a_at, k, b, &c, r0, r1);
-      });
+      Tiled<simd::NativeLanes>({a.data().data(), k, 1, k, b.data().data(), m,
+                                c.data().data(), m, m},
+                               n);
       return c;
     }
   }
@@ -329,10 +399,10 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   Tensor c = Tensor::Uninitialized(n, m);
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
-      auto a_at = [&a](size_t i, size_t p) { return a.RowPtr(p)[i]; };
-      ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
-        TiledRows<simd::NativeLanes>(a_at, k, b, &c, r0, r1);
-      });
+      Tiled<simd::NativeLanes, /*kRowsOfA=*/false>(
+          {a.data().data(), 1, n, k, b.data().data(), m, c.data().data(), m,
+           m},
+          n);
       return c;
     }
   }
@@ -349,16 +419,32 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
       const Tensor bt = Transpose(b);
-      auto a_at = [&a](size_t i, size_t p) { return a.RowPtr(i)[p]; };
-      ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
-        TiledRows<simd::NativeLanes>(a_at, k, bt, &c, r0, r1);
-      });
+      Tiled<simd::NativeLanes>({a.data().data(), k, 1, k, bt.data().data(), m,
+                                c.data().data(), m, m},
+                               n);
       return c;
     }
   }
   ForEachRowBlock(n, 2 * n * k * m, [&](size_t r0, size_t r1) {
     MatMulTransBRows(a, b, &c, r0, r1);
   });
+  return c;
+}
+
+Tensor MatMulCols(const Tensor& a, const Tensor& b, size_t c0, size_t c1) {
+  CONFCARD_DCHECK(a.cols() == b.rows());
+  CONFCARD_DCHECK(c0 <= c1 && c1 <= b.cols());
+  const size_t n = a.rows(), k = a.cols(), m = c1 - c0;
+  Tensor c = Tensor::Uninitialized(n, m);
+  const Gemm g{a.data().data(), k, 1, k, b.data().data() + c0, b.cols(),
+               c.data().data(), m, m};
+  if constexpr (simd::kHaveNativeLanes) {
+    if (SimdEnabled()) {
+      Tiled<simd::NativeLanes>(g, n);
+      return c;
+    }
+  }
+  Tiled<simd::ScalarLanes>(g, n);
   return c;
 }
 

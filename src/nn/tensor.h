@@ -122,13 +122,14 @@ struct SparseRows {
 };
 
 // The products below use 4-output-row blocks (each B row streams once
-// per block instead of once per row); the vector path packs each
+// per block instead of once per row); the vector path lists each
 // block's nonzero terms once and sweeps register-resident tiles of C
-// across them (tensor.cc). Output rows fan out across the thread pool
-// above a flop threshold. Per output element the accumulation order
-// over the shared dimension is ascending regardless of blocking, tiling
-// or thread count, so results are bit-identical to the naive triple
-// loop for finite inputs and across any CONFCARD_THREADS setting.
+// across them, reading A in place (tensor.cc). Output rows fan out
+// across the thread pool above a flop threshold. Per output element the
+// accumulation order over the shared dimension is ascending regardless
+// of blocking, tiling or thread count, so results are bit-identical to
+// the naive triple loop for finite inputs and across any
+// CONFCARD_THREADS setting.
 
 /// C = A * B. Shapes: (n,k) x (k,m) -> (n,m).
 Tensor MatMul(const Tensor& a, const Tensor& b);
@@ -136,6 +137,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
 /// C = A * B^T. Shapes: (n,k) x (m,k) -> (n,m).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
+/// Columns [c0, c1) of MatMul(a, b), bit for bit, computed without the
+/// others. Shapes: (n,k) x (k,m) -> (n,c1-c0).
+Tensor MatMulCols(const Tensor& a, const Tensor& b, size_t c0, size_t c1);
 
 }  // namespace nn
 }  // namespace confcard

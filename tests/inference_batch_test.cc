@@ -14,6 +14,7 @@
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ce/estimator.h"
@@ -246,9 +247,11 @@ TEST(InferenceBatchTest, HarnessEstimatesReproduceGoldenAtOneAndFourThreads) {
 }
 
 // Kernel-level contract: the sparse one-hot forward and the
-// column-restricted dense forward reproduce Apply's bits exactly.
+// column-restricted dense forward reproduce Apply's bits exactly, at
+// single rows, part blocks and many blocks, for column ranges that start
+// and end inside a vector.
 TEST(InferenceBatchTest, MaskedDenseSparseKernelsMatchApply) {
-  const size_t in_dim = 37, out_dim = 23, rows = 9;
+  const size_t in_dim = 37, out_dim = 23;
   Rng rng(123);
   nn::Tensor mask(in_dim, out_dim);
   for (size_t i = 0; i < mask.size(); ++i) {
@@ -256,40 +259,47 @@ TEST(InferenceBatchTest, MaskedDenseSparseKernelsMatchApply) {
   }
   nn::MaskedDense layer(in_dim, out_dim, std::move(mask), rng);
 
-  // Random block-sparse one-hot rows (including an all-zero row).
-  std::vector<uint32_t> indices;
-  std::vector<size_t> offsets = {0};
-  nn::Tensor dense(rows, in_dim);
-  for (size_t r = 0; r < rows; ++r) {
-    const size_t nnz = r == 4 ? 0 : 1 + rng.NextUint64(4);
-    uint32_t pos = 0;
-    for (size_t t = 0; t < nnz; ++t) {
-      // Strictly ascending indices across the row.
-      pos += static_cast<uint32_t>(rng.NextUint64(in_dim / 5)) + 1;
-      if (pos >= in_dim) break;
-      indices.push_back(pos);
-      dense.At(r, pos) = 1.0f;
+  for (size_t rows : {1, 2, 3, 4, 5, 9, 64}) {
+    SCOPED_TRACE(::testing::Message() << "rows " << rows);
+    // Random block-sparse one-hot rows (including an all-zero row).
+    std::vector<uint32_t> indices;
+    std::vector<size_t> offsets = {0};
+    nn::Tensor dense(rows, in_dim);
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t nnz = r == 4 ? 0 : 1 + rng.NextUint64(4);
+      uint32_t pos = 0;
+      for (size_t t = 0; t < nnz; ++t) {
+        // Strictly ascending indices across the row.
+        pos += static_cast<uint32_t>(rng.NextUint64(in_dim / 5)) + 1;
+        if (pos >= in_dim) break;
+        indices.push_back(pos);
+        dense.At(r, pos) = 1.0f;
+      }
+      offsets.push_back(indices.size());
     }
-    offsets.push_back(indices.size());
-  }
-  const nn::SparseRows sparse{rows, in_dim, indices.data(), offsets.data()};
+    const nn::SparseRows sparse{rows, in_dim, indices.data(), offsets.data()};
 
-  const nn::Tensor want = layer.Apply(dense);
-  const nn::Tensor got = layer.ApplyOneHot(sparse);
-  ASSERT_EQ(got.rows(), want.rows());
-  ASSERT_EQ(got.cols(), want.cols());
-  for (size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
-  }
+    const nn::Tensor want = layer.Apply(dense);
+    const nn::Tensor got = layer.ApplyOneHot(sparse);
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
+    }
 
-  const size_t c0 = 5, c1 = 17;
-  const nn::Tensor got_cols = layer.ApplyCols(dense, c0, c1);
-  const nn::Tensor got_oh_cols = layer.ApplyOneHotCols(sparse, c0, c1);
-  ASSERT_EQ(got_cols.cols(), c1 - c0);
-  for (size_t r = 0; r < rows; ++r) {
-    for (size_t c = c0; c < c1; ++c) {
-      ASSERT_EQ(got_cols.At(r, c - c0), want.At(r, c));
-      ASSERT_EQ(got_oh_cols.At(r, c - c0), want.At(r, c));
+    for (const auto& [c0, c1] : {std::pair<size_t, size_t>{5, 17},
+                                 {1, out_dim - 1},
+                                 {9, out_dim},
+                                 {0, out_dim}}) {
+      const nn::Tensor got_cols = layer.ApplyCols(dense, c0, c1);
+      const nn::Tensor got_oh_cols = layer.ApplyOneHotCols(sparse, c0, c1);
+      ASSERT_EQ(got_cols.cols(), c1 - c0);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t c = c0; c < c1; ++c) {
+          ASSERT_EQ(got_cols.At(r, c - c0), want.At(r, c));
+          ASSERT_EQ(got_oh_cols.At(r, c - c0), want.At(r, c));
+        }
+      }
     }
   }
 }

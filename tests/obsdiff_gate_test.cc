@@ -2,16 +2,19 @@
 // threshold semantics on synthetic RunViews. End to end: run a real
 // ablation bench twice at tiny scale with both the metrics artifact and
 // the per-query event log armed, assert obsdiff exits 0 across the two
-// runs (generous latency slack; everything else is seed-deterministic),
-// then rewrite a copy of the first artifact with a synthetic 2x latency
-// inflation / 5-point coverage drop and assert obsdiff exits nonzero
-// naming the offending metric. Binary paths are baked in by CMake.
+// runs with timing off and every other number held exact (they are
+// seed-deterministic), then rewrite a copy of the first artifact with a
+// synthetic 2x latency inflation / 5-point coverage drop and assert
+// obsdiff exits nonzero naming the offending metric. Binary paths are
+// baked in by CMake.
 #include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -256,6 +259,24 @@ BenchRun RunAblBench(const std::string& tag) {
   return run;
 }
 
+// The event log's records in order, each re-rendered without its
+// "lat_us" field, the one timing an event carries.
+std::vector<std::string> EventsWithoutLatency(
+    const std::filesystem::path& path) {
+  std::vector<std::string> out;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    Result<JsonValue> record = obs::ParseJson(line);
+    EXPECT_TRUE(record.ok()) << line;
+    if (!record.ok()) continue;
+    auto& members = record->members;
+    std::erase_if(members, [](const auto& m) { return m.first == "lat_us"; });
+    out.push_back(obs::SerializeJson(*record));
+  }
+  return out;
+}
+
 // One obsdiff invocation; returns the exit code and captures stdout.
 int Obsdiff(const std::string& args, std::string* out_text) {
   const auto out_path = std::filesystem::temp_directory_path() /
@@ -276,18 +297,29 @@ TEST(ObsdiffGateTest, EndToEndGateOnRealBenchRuns) {
   ASSERT_TRUE(std::filesystem::exists(a.events));
   ASSERT_TRUE(std::filesystem::exists(b.events));
 
-  // Identical seed-deterministic runs: everything but timing matches
-  // exactly; give timing generous slack against scheduler noise.
-  const std::string slack = " --latency-tol 3 --latency-floor-us 500";
+  // Two runs of one seeded bench share every number but their timings,
+  // which vary with the host's load. So the live pair is gated with
+  // timing off (no quantile reaches an infinite floor) and zero
+  // tolerance on everything else, in both directions so that a
+  // coverage rise fails as a drop does; latency is left to the
+  // synthetic half below.
+  const std::string exact =
+      " --latency-floor-us inf --coverage-tol 0 --gauge-tol 0 --count-tol 0";
   std::string text;
-  EXPECT_EQ(Obsdiff(a.artifact.string() + " " + b.artifact.string() + slack,
-                    &text),
-            0)
-      << text;
-  EXPECT_EQ(
-      Obsdiff(a.events.string() + " " + b.events.string() + slack, &text),
-      0)
-      << text;
+  for (const auto& [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+    EXPECT_EQ(Obsdiff(x->artifact.string() + " " + y->artifact.string() +
+                          exact,
+                      &text),
+              0)
+        << text;
+    EXPECT_EQ(Obsdiff(x->events.string() + " " + y->events.string() + exact,
+                      &text),
+              0)
+        << text;
+  }
+  // Every event field but the per-query latency matches, record by
+  // record.
+  EXPECT_EQ(EventsWithoutLatency(a.events), EventsWithoutLatency(b.events));
 
   Result<JsonValue> doc = obs::ParseJson(ReadFileOrEmpty(a.artifact));
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();

@@ -2,7 +2,7 @@
 // paths (nn/simd.h) promise byte-identical results to the scalar
 // reference kernels at every shape, including the awkward ones: output
 // widths hitting every lane-tail residue, reduction depths from none to
-// many packed terms, empty tensors, and non-finite values through the
+// many kept terms, empty tensors, and non-finite values through the
 // fused ReLU. Comparisons are bitwise (memcmp), not EXPECT_FLOAT_EQ
 // — the contract is identity, not closeness. In a CONFCARD_SIMD=off
 // build SetSimdEnabled(true) is a no-op and every case degenerates to
@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -116,7 +119,7 @@ TEST(SimdKernelTest, MatMulTransBBitIdenticalAcrossShapes) {
   SweepShapes([&rng](size_t n, size_t k, size_t m) {
     // (n,k) x (m,k) -> (n,m): the vector path runs the tiled kernel
     // over B transposed, so m is the j-lane dimension and k the
-    // packed-term dimension.
+    // kept-term dimension.
     Tensor a = RandomTensor(n, k, 0.0, rng);
     Tensor b = RandomTensor(m, k, 0.0, rng);
     SetSimdEnabled(false);
@@ -145,44 +148,122 @@ Tensor OneHotRows(size_t rows, size_t cols, Rng& rng) {
   return t;
 }
 
+// A^T for the MatMulTransA operands below: the kernels' 4-row blocks of
+// A'(i, p) = A(p, i) are then the blocks each generator lays out.
+Tensor Transposed(const Tensor& t) {
+  Tensor out = Tensor::Uninitialized(t.cols(), t.rows());
+  for (size_t r = 0; r < t.rows(); ++r) {
+    for (size_t c = 0; c < t.cols(); ++c) out.At(c, r) = t.At(r, c);
+  }
+  return out;
+}
+
+// The shared operand A'(rows, k) of the tiled kernels, drawn so the
+// kept-term scan meets every case of the zero skip: one-hot rows
+// (Naru's input layer), half zeros (a ReLU layer's gradient),
+// Bernoulli-0.2 bitmaps (MSCN's sample bitmaps), blocks of four rows
+// where a strict, nonempty subset is zero at every term, and values
+// the skip must not mistake for zero or for nonzero: NaN (in every
+// eighth row, so other rows stay finite), +0.0, -0.0 and subnormals.
+enum class Fill { kOneHot, kHalfZero, kBitmap, kPartialBlocks, kSpecial };
+
+Tensor Operand(Fill fill, size_t rows, size_t k, Rng& rng) {
+  switch (fill) {
+    case Fill::kOneHot:
+      return OneHotRows(rows, k, rng);
+    case Fill::kHalfZero:
+      return RandomTensor(rows, k, 0.5, rng);
+    case Fill::kBitmap: {
+      Tensor t(rows, k);
+      for (float& v : t.data()) v = rng.NextDouble() < 0.2 ? 1.0f : 0.0f;
+      return t;
+    }
+    case Fill::kPartialBlocks: {
+      Tensor t = RandomTensor(rows, k, 0.0, rng);
+      for (size_t b = 0; b < rows; b += 4) {
+        for (size_t p = 0; p < k; ++p) {
+          const uint64_t zero_rows = 1 + rng.NextUint64(14);  // 1..14
+          for (size_t r = b; r < std::min(rows, b + 4); ++r) {
+            if (zero_rows >> (r - b) & 1) t.At(r, p) = 0.0f;
+          }
+        }
+      }
+      return t;
+    }
+    case Fill::kSpecial: {
+      const float denorm = std::numeric_limits<float>::denorm_min();
+      const float specials[] = {0.0f,   -0.0f,   0.0f,   -0.0f,
+                                denorm, -denorm, 1e-40f, -3e-39f};
+      Tensor t = RandomTensor(rows, k, 0.0, rng);
+      for (size_t r = 0; r < rows; ++r) {
+        for (size_t p = 0; p < k; ++p) {
+          const double u = rng.NextDouble();
+          if (r % 8 == 1 && u < 0.05) {
+            t.At(r, p) = std::nanf("");
+          } else if (u < 0.75) {
+            t.At(r, p) = specials[rng.NextUint64(8)];
+          }
+        }
+      }
+      return t;
+    }
+  }
+  return Tensor();
+}
+
 // The register-tiled kernels against the scalar reference at the shapes
-// their tiling splits on. The output widths cover 3-, 2- and 1-vector
-// tiles and single scalar columns at AVX-512, AVX2 and SSE2/NEON
-// widths; the row counts cover whole 4-row blocks, single-row tails and
-// (166 rows) a long run of blocks ending in a two-row tail. The pool's
-// row chunks are tested in tensor_test, above the flop threshold. The
-// shared operand is one-hot rows, as in Naru's input layer, or half
-// zeros, as in a ReLU layer's gradient.
+// their tiling and term scan split on. The output widths cover 3-, 2-
+// and 1-vector tiles and single scalar columns at AVX-512, AVX2 and
+// SSE2/NEON widths; the row counts cover whole 4-row blocks, single-row
+// tails, the 4-block groups of MatMulTransA's scan at 16 lanes (17, 33)
+// and (166 rows) a long run of blocks ending in a two-row tail. The
+// term counts k cover the scan's whole vectors and its one-by-one tail
+// at every lane width, up to Naru's 301 bins. The pool's row chunks are
+// tested in tensor_test, above the flop threshold.
 TEST(SimdKernelTest, TiledKernelsBitIdenticalAtModelShapes) {
   SimdRestorer restore;
   Rng rng(8765);
+  auto check = [&rng](size_t rows, size_t k, size_t m, Fill fill) {
+    SCOPED_TRACE(::testing::Message()
+                 << "rows " << rows << " k " << k << " m " << m << " fill "
+                 << static_cast<int>(fill));
+    // MatMul: (rows, k) x (k, m).
+    const Tensor a = Operand(fill, rows, k, rng);
+    const Tensor b = RandomTensor(k, m, 0.0, rng);
+    // MatMulTransA: (k, rows)^T x (k, m), the weight-gradient product
+    // over a batch of k rows.
+    const Tensor at = Transposed(Operand(fill, rows, k, rng));
+    // MatMulTransB: (rows, k) x (m, k)^T, the input-gradient product.
+    const Tensor bt = RandomTensor(m, k, 0.0, rng);
+    SetSimdEnabled(false);
+    const Tensor ref_mm = MatMul(a, b);
+    const Tensor ref_ta = MatMulTransA(at, b);
+    const Tensor ref_tb = MatMulTransB(a, bt);
+    SetSimdEnabled(true);
+    ExpectBitIdentical(ref_mm, MatMul(a, b), "MatMul");
+    ExpectBitIdentical(ref_ta, MatMulTransA(at, b), "MatMulTransA");
+    ExpectBitIdentical(ref_tb, MatMulTransB(a, bt), "MatMulTransB");
+  };
+  const size_t row_counts[] = {1, 3, 4, 5, 17, 33, 64, 166};
+  // Every tile split, at the historical term counts.
   const size_t ms[] = {1,  5,  8,  15, 16, 23, 24, 25,
                        31, 33, 47, 49, 64, 96, 301};
-  const size_t row_counts[] = {1, 3, 4, 5, 64, 166};
   for (size_t rows : row_counts) {
     for (size_t m : ms) {
-      for (bool one_hot : {true, false}) {
-        SCOPED_TRACE(::testing::Message() << "rows " << rows << " m " << m
-                                          << (one_hot ? " one-hot" : ""));
-        const size_t k = one_hot ? 37 : 24;
-        // MatMul: (rows, k) x (k, m).
-        const Tensor a = one_hot ? OneHotRows(rows, k, rng)
-                                 : RandomTensor(rows, k, 0.5, rng);
-        const Tensor b = RandomTensor(k, m, 0.0, rng);
-        // MatMulTransA: (k', rows)^T x (k', m), the weight-gradient
-        // product over a batch of k' rows.
-        const Tensor at = one_hot ? OneHotRows(k, rows, rng)
-                                  : RandomTensor(k, rows, 0.5, rng);
-        // MatMulTransB: (rows, k) x (m, k)^T, the input-gradient product.
-        const Tensor bt = RandomTensor(m, k, 0.0, rng);
-        SetSimdEnabled(false);
-        const Tensor ref_mm = MatMul(a, b);
-        const Tensor ref_ta = MatMulTransA(at, b);
-        const Tensor ref_tb = MatMulTransB(a, bt);
-        SetSimdEnabled(true);
-        ExpectBitIdentical(ref_mm, MatMul(a, b), "MatMul");
-        ExpectBitIdentical(ref_ta, MatMulTransA(at, b), "MatMulTransA");
-        ExpectBitIdentical(ref_tb, MatMulTransB(a, bt), "MatMulTransB");
+      check(rows, 37, m, Fill::kOneHot);
+      check(rows, 24, m, Fill::kHalfZero);
+    }
+  }
+  // Every term count and operand fill, at one width per tile kind.
+  const size_t ks[] = {1, 15, 16, 17, 31, 32, 33, 58, 66, 301};
+  const Fill fills[] = {Fill::kOneHot, Fill::kHalfZero, Fill::kBitmap,
+                        Fill::kPartialBlocks, Fill::kSpecial};
+  for (size_t rows : row_counts) {
+    for (size_t k : ks) {
+      for (Fill fill : fills) {
+        for (size_t m : {size_t{5}, size_t{33}, size_t{49}}) {
+          check(rows, k, m, fill);
+        }
       }
     }
   }
@@ -283,13 +364,33 @@ TEST(SimdKernelTest, SparseOneHotGathersBitIdentical) {
   ExpectBitIdentical(ref_full, got_full, "ApplyOneHot");
   ExpectBitIdentical(ref_cols, got_cols, "ApplyOneHotCols");
 
-  // Dense column-slice path (Naru's per-block output softmax input).
-  Tensor dense_in = RandomTensor(rows, in_dim, 0.6, rng);
-  SetSimdEnabled(false);
-  Tensor ref_slice = dense_layer.ApplyCols(dense_in, 1, out_dim - 2);
-  SetSimdEnabled(true);
-  Tensor got_slice = dense_layer.ApplyCols(dense_in, 1, out_dim - 2);
-  ExpectBitIdentical(ref_slice, got_slice, "ApplyCols");
+  // Dense column-slice path (Naru's per-block output softmax input): the
+  // tiled kernel over a column range, on either lane set, against the
+  // matching columns of the scalar Apply. The ranges start and end
+  // inside a vector, span one vector's interior, cover every column,
+  // or are empty.
+  const std::pair<size_t, size_t> ranges[] = {
+      {1, out_dim - 2}, {2, 3 + w / 2}, {w - 1, 2 * w + 1}, {0, out_dim},
+      {3, 3}};
+  for (size_t n : {1, 2, 3, 4, 5, 64}) {
+    const Tensor dense_in = RandomTensor(n, in_dim, 0.6, rng);
+    SetSimdEnabled(false);
+    const Tensor full = dense_layer.Apply(dense_in);
+    for (const auto& [c0, c1] : ranges) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows " << n << " cols [" << c0 << ", " << c1 << ")");
+      Tensor want(n, c1 - c0);
+      for (size_t r = 0; r < n; ++r) {
+        for (size_t c = c0; c < c1; ++c) want.At(r, c - c0) = full.At(r, c);
+      }
+      for (bool simd : {false, true}) {
+        SetSimdEnabled(simd);
+        ExpectBitIdentical(want, dense_layer.ApplyCols(dense_in, c0, c1),
+                           simd ? "ApplyCols simd" : "ApplyCols scalar");
+      }
+      SetSimdEnabled(false);
+    }
+  }
 }
 
 TEST(SimdKernelTest, RuntimeControlsReportCompiledState) {

@@ -18,8 +18,8 @@
 # harnesses, with concurrent fold and CQR-head training and the
 # estimate cache), and kernel-smoke (simd_test, tensor_test,
 # layers_test, optimizer_nn_test, mscn_model_test: the register-tiled
-# GEMMs with their tile tails and packed-term buffers, the vector Adam
-# step and the parameter-only backward). A clean exit means the
+# GEMMs with their tile tails and kept-term scans over operands read in
+# place, the vector Adam step and the parameter-only backward). A clean exit means the
 # sanitizer saw no races (tsan), memory errors (asan) or undefined
 # behaviour (ubsan) in the hot-path
 # record/merge/sample/serve/guard/harness/kernel code.
