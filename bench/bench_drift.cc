@@ -402,21 +402,33 @@ OpenLoopResult RunOpenLoopDrift(const Stack& stack, const Scenario& sc,
   return r;
 }
 
+// Closed-loop capacity of the feedback stack doing the open loop's work:
+// every answer is Observed, in completion order, inside the timed
+// window, on a ring that, like the open loop's, never drops.
 double ProbeCapacity(const Stack& stack) {
-  ServeFrontEnd front(stack.shard_guards, *stack.scp, stack.num_rows,
-                      FrontOptions(/*feedback=*/true,
-                                   /*feedback_capacity=*/1024));
-  front.WarmupFeedback(stack.splits.calib);
   const size_t n = bench::Scaled(4000, 400);
+  ServeFrontEnd front(stack.shard_guards, *stack.scp, stack.num_rows,
+                      FrontOptions(/*feedback=*/true, n));
+  front.WarmupFeedback(stack.splits.calib);
   std::deque<Request> requests(n);
   const Workload& pool = stack.splits.test;
+  size_t observed = 0;
+  const auto observe_next = [&] {
+    const LabeledQuery& lq = pool[observed % pool.size()];
+    front.Observe(lq.query, lq.cardinality);
+    ++observed;
+  };
   Stopwatch watch;
   for (size_t i = 0; i < n; ++i) {
     Request& r = requests[i];
     r.query = pool[i % pool.size()].query;
     while (front.Submit(&r) != Admit::kAccepted) std::this_thread::yield();
+    while (observed < i && requests[observed].done()) observe_next();
   }
-  for (Request& r : requests) r.Wait();
+  while (observed < n) {
+    requests[observed].Wait();
+    observe_next();
+  }
   const double qps = static_cast<double>(n) / (watch.ElapsedMillis() / 1000.0);
   front.Stop();
   return qps;

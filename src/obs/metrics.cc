@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -9,11 +10,52 @@ namespace confcard {
 namespace obs {
 
 namespace internal {
+namespace {
 
-uint32_t AssignMetricShard() {
-  static std::atomic<uint32_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) %
-         static_cast<uint32_t>(kMetricShards);
+static_assert(kMetricShards < 32, "the lease set is one 32-bit mask");
+constexpr uint32_t kAllOwnedSlots = (uint32_t{1} << kMetricShards) - 1;
+
+// Bit i is set while owned slot i is leased to a live thread.
+std::atomic<uint32_t> g_leased_slots{0};
+
+// Constructed on a thread's first lease; its destructor runs with the
+// thread's other thread_locals and returns the slot.
+struct SlotLease {
+  ~SlotLease() { ReleaseMetricSlot(); }
+};
+
+}  // namespace
+
+uint32_t LeaseMetricSlot() {
+  uint32_t& slot = ThreadMetricSlot();
+  uint32_t leased = g_leased_slots.load(std::memory_order_relaxed);
+  for (;;) {
+    const uint32_t free = ~leased & kAllOwnedSlots;
+    if (free == 0) {
+      slot = kSharedMetricSlot;
+      return slot;
+    }
+    const uint32_t bit = free & (0u - free);
+    // Acquire pairs with the previous owner's release, so its last
+    // stores to the slot are what this thread's first loads read.
+    if (g_leased_slots.compare_exchange_weak(leased, leased | bit,
+                                             std::memory_order_acquire,
+                                             std::memory_order_relaxed)) {
+      slot = static_cast<uint32_t>(std::countr_zero(bit));
+      break;
+    }
+  }
+  static thread_local SlotLease lease;
+  return slot;
+}
+
+void ReleaseMetricSlot() {
+  uint32_t& slot = ThreadMetricSlot();
+  if (slot < kSharedMetricSlot) {
+    g_leased_slots.fetch_and(~(uint32_t{1} << slot),
+                             std::memory_order_release);
+  }
+  slot = kSharedMetricSlot;
 }
 
 }  // namespace internal
@@ -25,9 +67,9 @@ void SetMetricsEnabled(bool enabled) {
 bool MetricsEnabled() { return internal::RecordingEnabled(); }
 
 // fetch_add on atomic<double> is C++20 but spotty in older libstdc++;
-// a relaxed CAS loop is portable and just as fast uncontended. With the
-// histogram shards each loop runs against a thread-private slot, so the
-// exchange succeeds on the first try outside of shard-wraparound.
+// a relaxed CAS loop is portable and just as fast uncontended. The
+// histograms take these loops only on their shared slot, where threads
+// without an owned slot do contend.
 void AtomicAddDouble(std::atomic<double>* target, double delta) {
   if (std::isnan(delta)) return;
   double cur = target->load(std::memory_order_relaxed);
@@ -91,8 +133,19 @@ void Histogram::Record(double value) {
   if (!internal::RecordingEnabled()) return;
   if (std::isnan(value)) return;
   value = std::max(value, 0.0);
-  Shard& s = shards_[internal::MetricShardIndex()];
-  s.buckets[BucketIndex(value)].fetch_add(1, std::memory_order_relaxed);
+  const uint32_t slot = internal::MetricShardIndex();
+  Shard& s = shards_[slot];
+  std::atomic<uint64_t>& bucket = s.buckets[BucketIndex(value)];
+  if (slot != internal::kSharedMetricSlot) {
+    // Owned slot: this thread is its only writer.
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    bucket.store(bucket.load(kRelaxed) + 1, kRelaxed);
+    s.sum.store(s.sum.load(kRelaxed) + value, kRelaxed);
+    if (value < s.min.load(kRelaxed)) s.min.store(value, kRelaxed);
+    if (value > s.max.load(kRelaxed)) s.max.store(value, kRelaxed);
+    return;
+  }
+  bucket.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&s.sum, value);
   AtomicMinDouble(&s.min, value);
   AtomicMaxDouble(&s.max, value);

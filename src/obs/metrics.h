@@ -4,17 +4,24 @@
 // storage, so call sites should resolve a metric once (typically via a
 // function-local static reference) and record lock-free afterwards.
 //
-// Counters and histograms are sharded: each metric owns kMetricShards
-// cache-line-padded slots and every thread records into a fixed slot
-// assigned round-robin at first use. The record path is a relaxed add on
-// the calling thread's slot — no CAS loop, no shared cache line below
-// kMetricShards concurrent threads — and aggregation across slots happens
-// only at snapshot/export time. Single-threaded runs use exactly one slot
-// per metric, so aggregated values (including floating-point sums) are
-// bit-identical to an unsharded implementation.
+// Counters and histograms are sharded into kMetricShards owned slots plus
+// one shared slot, each cache-line padded. A thread leases a free owned
+// slot at its first record and keeps it until it exits; being the slot's
+// only writer, it updates it with relaxed loads and stores, so a record
+// issues no locked instruction and shares no cache line with another
+// recorder. A thread that finds every owned slot leased records into the
+// shared slot with relaxed fetch_add and CAS loops instead. At thread
+// exit the lease returns to the pool, and any record made later in that
+// exit (a thread_local destructor, say) lands in the shared slot.
+// Aggregation across slots happens only at snapshot/export time.
+// Single-threaded runs use exactly one slot per metric, so aggregated
+// values (including floating-point sums) are bit-identical to an
+// unsharded implementation.
 //
 // Metric objects live for the whole process: Reset() zeroes values but
-// never invalidates references handed out by the registry.
+// never invalidates references handed out by the registry. Reset() is
+// only for quiesced metrics: an owner's update is a load and a store, so
+// one that runs across a concurrent Reset() writes the old total back.
 #ifndef CONFCARD_OBS_METRICS_H_
 #define CONFCARD_OBS_METRICS_H_
 
@@ -33,9 +40,9 @@
 namespace confcard {
 namespace obs {
 
-/// Number of cache-line-padded slots each counter/histogram spreads its
-/// updates across. A power of two; threads wrap around when more than
-/// kMetricShards of them record concurrently.
+/// Number of owned slots each counter/histogram leases out, one per live
+/// recording thread. Threads beyond that share one more slot, index
+/// kMetricShards, so a metric holds kMetricShards + 1 slots in all.
 inline constexpr size_t kMetricShards = 16;
 
 /// Runtime kill switch for every metric record path. With recording
@@ -46,8 +53,8 @@ inline constexpr size_t kMetricShards = 16;
 void SetMetricsEnabled(bool enabled);
 bool MetricsEnabled();
 
-/// NaN-safe relaxed atomic helpers for doubles (used by the histogram
-/// shards; exposed for tests and benches). A NaN delta or candidate is
+/// NaN-safe relaxed atomic helpers for doubles (used by the histograms'
+/// shared slot; exposed for tests and benches). A NaN delta or candidate is
 /// dropped instead of poisoning the accumulator, and a NaN already in
 /// `target` is replaced by the first well-formed candidate.
 void AtomicAddDouble(std::atomic<double>* target, double delta);
@@ -56,12 +63,34 @@ void AtomicMaxDouble(std::atomic<double>* target, double value);
 
 namespace internal {
 
-/// Stable shard slot for the calling thread, assigned on first use.
-uint32_t AssignMetricShard();
+/// Slot shared by every thread that holds no owned slot.
+inline constexpr uint32_t kSharedMetricSlot =
+    static_cast<uint32_t>(kMetricShards);
+/// The calling thread has not recorded yet.
+inline constexpr uint32_t kNoMetricSlot = ~uint32_t{0};
 
+/// The calling thread's slot. Constant-initialized and trivially
+/// destructible: one TLS load, readable until the thread is gone.
+inline uint32_t& ThreadMetricSlot() {
+  static thread_local uint32_t slot = kNoMetricSlot;
+  return slot;
+}
+
+/// Leases the lowest free owned slot to the calling thread, or gives it
+/// the shared slot when all kMetricShards are leased. Runs once per
+/// thread, at its first record.
+uint32_t LeaseMetricSlot();
+
+/// Returns the calling thread's owned slot to the pool; its later
+/// records land in the shared slot. Runs at thread exit; tests call it
+/// to start from a known set of leases.
+void ReleaseMetricSlot();
+
+/// Stable slot of the calling thread: < kMetricShards when owned,
+/// kSharedMetricSlot otherwise.
 inline uint32_t MetricShardIndex() {
-  static thread_local const uint32_t idx = AssignMetricShard();
-  return idx;
+  const uint32_t slot = ThreadMetricSlot();
+  return slot != kNoMetricSlot ? slot : LeaseMetricSlot();
 }
 
 /// Backing flag for SetMetricsEnabled, inline so the record-path check
@@ -78,14 +107,21 @@ struct alignas(64) PaddedCount {
 
 }  // namespace internal
 
-/// Monotonically increasing event count. Increment is a relaxed add on
-/// the calling thread's padded slot; value() sums the slots.
+/// Monotonically increasing event count. Increment adds to the calling
+/// thread's slot: a load and a store when the thread owns it, a relaxed
+/// fetch_add on the shared slot; value() sums the slots.
 class Counter {
  public:
   void Increment(uint64_t n = 1) {
     if (!internal::RecordingEnabled()) return;
-    shards_[internal::MetricShardIndex()].v.fetch_add(
-        n, std::memory_order_relaxed);
+    const uint32_t slot = internal::MetricShardIndex();
+    std::atomic<uint64_t>& v = shards_[slot].v;
+    if (slot != internal::kSharedMetricSlot) {
+      v.store(v.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
+    } else {
+      v.fetch_add(n, std::memory_order_relaxed);
+    }
   }
   uint64_t value() const {
     uint64_t total = 0;
@@ -99,7 +135,7 @@ class Counter {
   }
 
  private:
-  std::array<internal::PaddedCount, kMetricShards> shards_{};
+  std::array<internal::PaddedCount, kMetricShards + 1> shards_{};
 };
 
 /// Last-write-wins scalar (calibration-set sizes, epoch losses, ...).
@@ -122,9 +158,10 @@ class Gauge {
 /// Fixed power-of-two-bucket histogram for non-negative samples
 /// (canonically latencies in microseconds). Bucket i holds samples in
 /// (2^(i-1), 2^i]; the last bucket is unbounded. Recording updates only
-/// the calling thread's shard (one bucket add plus uncontended CAS loops
-/// for sum/min/max); summary percentiles are interpolated from the
-/// merged bucket boundaries at snapshot time.
+/// the calling thread's slot: a bucket add, the sum, and min/max when
+/// the sample passes them, each a load and a store on an owned slot
+/// (fetch_add and CAS loops on the shared one); summary percentiles are
+/// interpolated from the merged bucket boundaries at snapshot time.
 class Histogram {
  public:
   static constexpr size_t kNumBuckets = 40;
@@ -159,7 +196,7 @@ class Histogram {
     std::atomic<double> min{std::numeric_limits<double>::infinity()};
     std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
-  std::array<Shard, kMetricShards> shards_{};
+  std::array<Shard, kMetricShards + 1> shards_{};
 };
 
 /// Process-wide registry. Names are dot-separated paths, lowercase, with

@@ -5,7 +5,9 @@
 // sequence, so the queue is lock-free, allocation-free after
 // construction, and wait-free in the uncontended case. A full queue
 // fails TryPush instead of blocking — the admission-control contract
-// the front-end's load shedding is built on.
+// the front-end's load shedding is built on. A queue with one consumer
+// at a time may pop with TryPopSingleConsumer, which claims its position
+// with a plain store instead of the CAS.
 #ifndef CONFCARD_SERVE_MPMC_QUEUE_H_
 #define CONFCARD_SERVE_MPMC_QUEUE_H_
 
@@ -85,6 +87,20 @@ class MpmcBoundedQueue {
     }
     *out = cell->value;
     cell->seq.store(pos + mask_ + 1, std::memory_order_release);
+    return true;
+  }
+
+  /// TryPop for a queue whose pops never overlap: the caller is its only
+  /// consumer until some happens-before edge (a thread join, say) hands
+  /// the role on. No other consumer moves the tail, so a published slot
+  /// at the tail is this caller's without a CAS. False when empty.
+  bool TryPopSingleConsumer(T* out) {
+    const size_t pos = tail_.load(std::memory_order_relaxed);
+    Cell& cell = cells_[pos & mask_];
+    if (cell.seq.load(std::memory_order_acquire) != pos + 1) return false;
+    *out = cell.value;
+    cell.seq.store(pos + mask_ + 1, std::memory_order_release);
+    tail_.store(pos + 1, std::memory_order_relaxed);
     return true;
   }
 

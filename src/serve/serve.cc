@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "ce/residual.h"
 #include "common/check.h"
@@ -12,6 +13,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "obs/trace.h"
 #include "query/validate.h"
 
 namespace confcard {
@@ -95,12 +97,14 @@ ServeFrontEnd::ServeMetrics& ServeFrontEnd::SharedMetrics() {
 struct ServeFrontEnd::Shard {
   explicit Shard(size_t queue_capacity) : queue(queue_capacity) {}
 
+  /// Many producers, one consumer at a time: the worker, then Stop()
+  /// after the join. So the consumer pops without a CAS.
   MpmcBoundedQueue<Request*> queue;
   const GuardedEstimator* guard = nullptr;
   int index = 0;
-  /// Approximate occupancy (push increments, pop decrements); drives the
-  /// wake predicate and the breaker admission watermark only, never
-  /// correctness.
+  /// Approximate occupancy (push increments; the consumer subtracts each
+  /// batch once it is assembled); drives the wake predicate and the
+  /// breaker admission watermark only, never correctness.
   std::atomic<int> depth{0};
   std::mutex wake_mu;
   std::condition_variable wake_cv;
@@ -117,6 +121,7 @@ struct ServeFrontEnd::Shard {
   std::vector<GuardedEstimate> outs;
   GuardBatchScratch scratch;
   std::vector<uint64_t> batch_size_counts;
+  /// Written by the worker only.
   std::atomic<uint64_t> hot_allocs{0};
 
   // ---- drift-adaptation state (engaged only when Options::feedback).
@@ -131,7 +136,9 @@ struct ServeFrontEnd::Shard {
   std::chrono::steady_clock::time_point stage_since{};
   // Feedback rings: producers move preallocated slots free -> pending;
   // the worker drains pending and recycles slots back to free. Slot
-  // count == ring capacity, so the pending push can never fail.
+  // count == ring capacity, so the pending push can never fail. Every
+  // Observe caller pops fb_free; fb_pending, like `queue`, has one
+  // consumer at a time.
   std::vector<FeedbackSlot> fb_slots;
   std::unique_ptr<MpmcBoundedQueue<FeedbackSlot*>> fb_pending;
   std::unique_ptr<MpmcBoundedQueue<FeedbackSlot*>> fb_free;
@@ -350,7 +357,7 @@ void ServeFrontEnd::FeedOne(Shard* shard, const Query& query,
 void ServeFrontEnd::ApplyFeedback(Shard* shard) {
   if (!options_.feedback) return;
   FeedbackSlot* slot = nullptr;
-  if (!shard->fb_pending->TryPop(&slot)) return;
+  if (!shard->fb_pending->TryPopSingleConsumer(&slot)) return;
   const SteadyClock::time_point t0 = SteadyClock::now();
   const size_t cap = options_.feedback_capacity;
   size_t k = 0;
@@ -369,26 +376,31 @@ void ServeFrontEnd::ApplyFeedback(Shard* shard) {
     FeedOne(shard, slot->query, ge, slot->truth);
     shard->fb_free->TryPush(slot);
     ++k;
-  } while (k < cap && shard->fb_pending->TryPop(&slot));
+  } while (k < cap && shard->fb_pending->TryPopSingleConsumer(&slot));
   metrics_.feedback_applied.Increment(k);
   metrics_.feedback_apply_us.Record(MicrosBetween(t0, SteadyClock::now()));
 }
 
 void ServeFrontEnd::WorkerLoop(Shard* shard) {
+  obs::SetTraceThreadLabel("serve-worker-" + std::to_string(shard->index));
   // Serves one popped request. The whole batch cycle — assembly, guarded
   // batched inference, interval inversion, publication — is
   // alloc-counted; after warmup the delta must be zero (bench_serving
   // gates it).
   const auto process_popped = [this, shard](Request* first) {
-    shard->depth.fetch_sub(1, std::memory_order_relaxed);
+    // One relaxed load when the profiler is off; arms this thread's
+    // sampling timer at its first batch after the profiler starts.
+    obs::prof::RegisterCurrentThread();
     const uint64_t allocs_before = obs::prof::ThreadAllocCount();
     ProcessFrom(shard, first);
-    shard->hot_allocs.fetch_add(obs::prof::ThreadAllocCount() - allocs_before,
-                                std::memory_order_relaxed);
+    shard->hot_allocs.store(
+        shard->hot_allocs.load(std::memory_order_relaxed) +
+            (obs::prof::ThreadAllocCount() - allocs_before),
+        std::memory_order_relaxed);
   };
   for (;;) {
     Request* first = nullptr;
-    if (shard->queue.TryPop(&first)) {
+    if (shard->queue.TryPopSingleConsumer(&first)) {
       process_popped(first);
       continue;
     }
@@ -396,7 +408,7 @@ void ServeFrontEnd::WorkerLoop(Shard* shard) {
       // Recheck once: a Submit racing Stop() may have pushed between the
       // failed pop and the flag read. Anything later is caught by the
       // post-join drain in Stop().
-      if (!shard->queue.TryPop(&first)) break;
+      if (!shard->queue.TryPopSingleConsumer(&first)) break;
       process_popped(first);
       continue;
     }
@@ -434,8 +446,7 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
     int spins = 0;
     for (;;) {
       Request* next = nullptr;
-      if (shard->queue.TryPop(&next)) {
-        shard->depth.fetch_sub(1, std::memory_order_relaxed);
+      if (shard->queue.TryPopSingleConsumer(&next)) {
         shard->batch.push_back(next);
         if (shard->batch.size() >= max_batch) break;
         continue;
@@ -453,6 +464,8 @@ void ServeFrontEnd::ProcessFrom(Shard* shard, Request* first) {
 
   const SteadyClock::time_point dispatched = SteadyClock::now();
   const size_t m = shard->batch.size();
+  // One subtraction per batch, before the worker can next wait on depth.
+  shard->depth.fetch_sub(static_cast<int>(m), std::memory_order_relaxed);
   // queries/outs were sized to max_batch at construction; element-wise
   // assignment reuses each slot's predicate capacity batch to batch.
   for (size_t i = 0; i < m; ++i) {
@@ -567,8 +580,7 @@ void ServeFrontEnd::Stop() {
   // request has a published response.
   for (auto& shard : shards_) {
     Request* first = nullptr;
-    while (shard->queue.TryPop(&first)) {
-      shard->depth.fetch_sub(1, std::memory_order_relaxed);
+    while (shard->queue.TryPopSingleConsumer(&first)) {
       ProcessFrom(shard.get(), first);
       metrics_.drained_on_stop.Increment(shard->batch.size());
     }

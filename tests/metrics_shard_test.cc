@@ -1,10 +1,13 @@
 // Concurrency and export tests for the sharded metrics rebuild: exact
-// totals under a multi-thread hammer, NaN-safe atomic min/max, the
+// totals under a multi-thread hammer, slot leases (more threads than
+// owned slots, slots reused after their threads exit, records made
+// after a thread's slot went back), NaN-safe atomic min/max, the
 // recording kill switch, bucket-index equivalence with the frexp-based
 // reference, and the Prometheus text exposition format.
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,19 +22,24 @@ namespace {
 
 constexpr int kThreads = 8;
 
-// Runs `body(thread_index)` on kThreads threads behind a start barrier.
+// Runs `body(thread_index)` on `threads` threads behind a start barrier
+// that opens once every one of them holds its metric slot, so all are
+// live at once and none releases a slot mid-run.
 template <typename Body>
-void Hammer(const Body& body) {
-  std::atomic<bool> go{false};
+void Hammer(int threads, const Body& body) {
+  std::atomic<int> ready{0};
   std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  workers.reserve(static_cast<size_t>(threads));
+  for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      internal::MetricShardIndex();  // leases this thread's slot
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < threads) {
+        std::this_thread::yield();
+      }
       body(t);
     });
   }
-  go.store(true, std::memory_order_release);
   for (std::thread& w : workers) w.join();
 }
 
@@ -39,7 +47,7 @@ TEST(ShardedCounterTest, MultiThreadTotalsExact) {
   Counter& c = Metrics().GetCounter("shard_test.counter");
   c.Reset();
   constexpr uint64_t kPerThread = 100000;
-  Hammer([&](int) {
+  Hammer(kThreads, [&](int) {
     for (uint64_t i = 0; i < kPerThread; ++i) c.Increment();
   });
   EXPECT_EQ(c.value(), kPerThread * kThreads);
@@ -50,7 +58,7 @@ TEST(ShardedCounterTest, MultiThreadTotalsExact) {
 TEST(ShardedCounterTest, IncrementByNAcrossThreads) {
   Counter& c = Metrics().GetCounter("shard_test.counter_n");
   c.Reset();
-  Hammer([&](int t) {
+  Hammer(kThreads, [&](int t) {
     for (int i = 0; i < 1000; ++i) {
       c.Increment(static_cast<uint64_t>(t) + 1);
     }
@@ -69,7 +77,7 @@ TEST(ShardedHistogramTest, MultiThreadCountSumMinMaxExact) {
   constexpr int kPerThread = 50000;
   // Integer-valued samples keep the double sum exact regardless of
   // accumulation order, so the cross-shard merge is checkable exactly.
-  Hammer([&](int t) {
+  Hammer(kThreads, [&](int t) {
     for (int i = 0; i < kPerThread; ++i) {
       h.Record(static_cast<double>(t * kPerThread + i));
     }
@@ -135,7 +143,7 @@ TEST(AtomicMinMaxTest, EightThreadHammerFindsGlobalExtremes) {
   std::atomic<double> min{std::numeric_limits<double>::infinity()};
   std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   constexpr int kPerThread = 20000;
-  Hammer([&](int t) {
+  Hammer(kThreads, [&](int t) {
     for (int i = 0; i < kPerThread; ++i) {
       const double v = static_cast<double>((i * kThreads + t) % 100003);
       AtomicMinDouble(&min, v);
@@ -273,9 +281,115 @@ TEST(TextExpositionTest, NonFiniteGaugesUsePrometheusSpellings) {
   Metrics().ResetForTest();
 }
 
+TEST(SlotLeaseTest, TwiceAsManyThreadsAsSlotsKeepTotalsExact) {
+  constexpr int kLive = 2 * static_cast<int>(kMetricShards);
+  // Long enough that threads sharing a slot overlap under time slicing:
+  // without the lease, runs of this size lost records.
+  constexpr uint64_t kPerThread = 200000;
+  Counter& c = Metrics().GetCounter("shard_test.lease.counter");
+  Histogram& h = Metrics().GetHistogram("shard_test.lease.hist");
+  c.Reset();
+  h.Reset();
+  std::atomic<int> on_shared{0};
+  Hammer(kLive, [&](int t) {
+    if (internal::MetricShardIndex() == internal::kSharedMetricSlot) {
+      on_shared.fetch_add(1, std::memory_order_relaxed);
+    }
+    for (uint64_t i = 0; i < kPerThread; ++i) {
+      c.Increment();
+      h.Record(static_cast<double>(static_cast<uint64_t>(t) * kPerThread + i));
+    }
+  });
+  // At most kMetricShards threads own a slot; the rest share one.
+  EXPECT_GE(on_shared.load(), kLive - static_cast<int>(kMetricShards));
+  const uint64_t n = static_cast<uint64_t>(kLive) * kPerThread;
+  EXPECT_EQ(c.value(), n);
+  const Histogram::Snapshot s = h.TakeSnapshot();
+  EXPECT_EQ(s.count, n);
+  EXPECT_DOUBLE_EQ(s.sum, static_cast<double>(n) *
+                              static_cast<double>(n - 1) / 2.0);
+  EXPECT_DOUBLE_EQ(s.min, 0.0);
+  EXPECT_DOUBLE_EQ(s.max, static_cast<double>(n - 1));
+}
+
+TEST(SlotLeaseTest, SecondWaveOwnsTheSlotsTheFirstReleased) {
+  // This thread records in earlier tests; give its lease back so both
+  // waves can lease every owned slot.
+  internal::ReleaseMetricSlot();
+  ASSERT_EQ(internal::MetricShardIndex(), internal::kSharedMetricSlot);
+  constexpr int kWave = static_cast<int>(kMetricShards);
+  constexpr uint64_t kPerThread = 5000;
+  Counter& c = Metrics().GetCounter("shard_test.wave.counter");
+  Histogram& h = Metrics().GetHistogram("shard_test.wave.hist");
+  c.Reset();
+  h.Reset();
+  for (int wave = 0; wave < 2; ++wave) {
+    std::vector<uint32_t> slots(kWave);
+    Hammer(kWave, [&](int t) {
+      slots[static_cast<size_t>(t)] = internal::MetricShardIndex();
+      for (uint64_t i = 0; i < kPerThread; ++i) {
+        c.Increment();
+        h.Record(2.0);
+      }
+    });
+    const std::set<uint32_t> distinct(slots.begin(), slots.end());
+    EXPECT_EQ(distinct.size(), kMetricShards) << "wave " << wave;
+    for (uint32_t slot : slots) {
+      EXPECT_LT(slot, kMetricShards) << "wave " << wave;
+    }
+  }
+  const uint64_t n = 2 * static_cast<uint64_t>(kWave) * kPerThread;
+  EXPECT_EQ(c.value(), n);
+  const Histogram::Snapshot s = h.TakeSnapshot();
+  EXPECT_EQ(s.count, n);
+  EXPECT_DOUBLE_EQ(s.sum, 2.0 * static_cast<double>(n));
+}
+
+// Records at thread exit, from a thread_local constructed before the
+// thread's first record, so it is destroyed after the slot lease.
+struct ExitRecorder {
+  Counter* counter = nullptr;
+  Histogram* histogram = nullptr;
+  std::atomic<uint32_t>* slot_at_exit = nullptr;
+  ~ExitRecorder() {
+    slot_at_exit->store(internal::MetricShardIndex());
+    counter->Increment(7);
+    histogram->Record(3.0);
+  }
+};
+
+TEST(SlotLeaseTest, RecordAfterSlotReleaseAtThreadExitIsCounted) {
+  Counter& c = Metrics().GetCounter("shard_test.exit.counter");
+  Histogram& h = Metrics().GetHistogram("shard_test.exit.hist");
+  c.Reset();
+  h.Reset();
+  std::atomic<uint32_t> owned{internal::kNoMetricSlot};
+  std::atomic<uint32_t> at_exit{internal::kNoMetricSlot};
+  std::thread worker([&] {
+    thread_local ExitRecorder recorder;
+    recorder.counter = &c;
+    recorder.histogram = &h;
+    recorder.slot_at_exit = &at_exit;
+    c.Increment();  // first record: leases a slot
+    h.Record(1.0);
+    owned.store(internal::MetricShardIndex());
+  });
+  worker.join();
+  EXPECT_LT(owned.load(), kMetricShards);
+  EXPECT_EQ(at_exit.load(), internal::kSharedMetricSlot);
+  EXPECT_EQ(c.value(), 8u);
+  const Histogram::Snapshot s = h.TakeSnapshot();
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_DOUBLE_EQ(s.sum, 4.0);
+  EXPECT_DOUBLE_EQ(s.min, 1.0);
+  EXPECT_DOUBLE_EQ(s.max, 3.0);
+}
+
+// The 8 hammer threads and this one never exhaust the owned slots, so
+// every one of them owns its slot.
 TEST(ShardAssignmentTest, ThreadsGetStableSlotsInRange) {
   std::vector<uint32_t> seen(kThreads);
-  Hammer([&](int t) {
+  Hammer(kThreads, [&](int t) {
     const uint32_t a = internal::MetricShardIndex();
     const uint32_t b = internal::MetricShardIndex();
     EXPECT_EQ(a, b);  // stable per thread

@@ -2,9 +2,10 @@
 // contracts. Signal-safety is exercised by arming the profiler under an
 // oversubscribed ParallelFor hammer (tools/run_tsan_obs.sh runs this
 // suite under TSan); folded-output well-formedness and span-label
-// attribution are checked on real captures; the resource counters
-// backing span accounting must be monotone; and a death test proves a
-// crashed run still leaves a parseable partial profile.
+// attribution are checked on real captures, as is the serving worker's
+// registration and thread label; the resource counters backing span
+// accounting must be monotone; and a death test proves a crashed run
+// still leaves a parseable partial profile.
 //
 // gtest_discover_tests runs each case in its own process, so every case
 // owns the (process-global) profiler state it starts.
@@ -13,15 +14,23 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ce/guarded.h"
 #include "common/parallel.h"
+#include "conformal/scoring.h"
+#include "conformal/split.h"
+#include "data/generators.h"
 #include "obs/profiler.h"
 #include "obs/trace.h"
+#include "query/workload.h"
+#include "serve/serve.h"
 
 namespace confcard {
 namespace obs {
@@ -159,6 +168,64 @@ TEST(ProfilerSmokeTest, ResourceCountersAreMonotonic) {
   prof::ThreadContextSwitches(&vol1, &invol1);
   EXPECT_GE(vol1, vol0);
   EXPECT_GE(invol1, invol0);
+}
+
+// Spends thread CPU in every batch, so a serving worker is on CPU long
+// enough to be sampled.
+class BurnEstimator : public CardinalityEstimator {
+ public:
+  std::string name() const override { return "burn"; }
+  void EstimateBatch(const Query*, size_t n, double* out) const override {
+    BurnCpuMillis(2.0);
+    for (size_t i = 0; i < n; ++i) out[i] = 1.0;
+  }
+};
+
+TEST(ProfilerSmokeTest, ServingWorkerSamplesLeadWithItsLabel) {
+  TableSpec spec;
+  spec.name = "p";
+  spec.num_rows = 200;
+  spec.seed = 3;
+  ColumnSpec a;
+  a.name = "a";
+  a.domain_size = 4;
+  spec.columns = {a};
+  const Table table = GenerateTable(spec).value();
+  WorkloadConfig wc;
+  wc.num_queries = 4;
+  wc.seed = 7;
+  const Workload workload = GenerateWorkload(table, wc).value();
+  BurnEstimator primary;
+  GuardedEstimator guard(primary, table);
+  SplitConformal scp(MakeScoring(ScoreKind::kResidual), 0.1);
+  ASSERT_TRUE(scp.Calibrate({1.0, 2.0, 3.0, 4.0}, {2.0, 1.0, 4.0, 3.0}).ok());
+  serve::ServeFrontEnd::Options opts;
+  opts.max_batch = 1;
+  std::deque<serve::Request> requests(40);  // ~80 ms of worker CPU
+  // The worker starts before the profiler does, as a bench's would: it
+  // must arm its own timer at its next batch.
+  serve::ServeFrontEnd front({&guard}, scp,
+                             static_cast<double>(table.num_rows()), opts);
+  const std::string path = TempPath("serve.folded");
+  std::remove(path.c_str());
+  ASSERT_TRUE(prof::StartProfiler(path, 2000).ok());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    requests[i].query = workload[i % workload.size()].query;
+    ASSERT_EQ(front.Submit(&requests[i]), serve::Admit::kAccepted);
+  }
+  for (const serve::Request& r : requests) r.Wait();
+  const std::string folded = prof::RenderFoldedProfile();
+  ASSERT_TRUE(prof::StopProfilerAndWrite().ok());
+  front.Stop();
+  size_t worker_lines = 0;
+  std::istringstream lines(folded);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("serve-worker-0;", 0) == 0) ++worker_lines;
+  }
+  EXPECT_GT(worker_lines, 0u) << folded.substr(0, 2000);
+  EXPECT_GT(ReturnsCheckedLines(path), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(ProfilerCrashTest, FatalSignalFlushesPartialProfile) {

@@ -1,7 +1,9 @@
 // The serving front-end's bounded lock-free MPMC queue: FIFO order for
 // a single producer/consumer, full/empty edge behavior, capacity
-// rounding, and a multi-producer/multi-consumer hammer that checks
-// every pushed value is popped exactly once.
+// rounding, a multi-producer/multi-consumer hammer that checks every
+// pushed value is popped exactly once, and the same for the CAS-free
+// single-consumer pop, whose consumer role moves to a second thread
+// mid-run the way Stop() takes it over after the worker's join.
 #include "serve/mpmc_queue.h"
 
 #include <gtest/gtest.h>
@@ -104,6 +106,55 @@ TEST(MpmcQueueTest, ConcurrentHammerDeliversEachValueOnce) {
   for (int i = 0; i < kTotal; ++i) {
     ASSERT_EQ(seen[i].load(), 1u) << "value " << i;
   }
+}
+
+TEST(MpmcQueueTest, SingleConsumerPopKeepsProducerOrder) {
+  constexpr uint64_t kProducers = 4;
+  constexpr uint64_t kPerProducer = 20000;
+  constexpr uint64_t kTotal = kProducers * kPerProducer;
+  // Small ring: producers run into full and the consumer into empty
+  // over and over, across many wraps.
+  MpmcBoundedQueue<uint64_t> q(16);
+  std::vector<std::thread> producers;
+  for (uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&q, p] {
+      for (uint64_t i = 0; i < kPerProducer; ++i) {
+        while (!q.TryPush((p << 32) | i)) std::this_thread::yield();
+      }
+    });
+  }
+  // Producer p's values must arrive as 0, 1, 2, ...: next[p] is the one
+  // due. In order and kPerProducer of them means each exactly once.
+  std::vector<uint64_t> next(kProducers, 0);
+  uint64_t popped = 0;
+  uint64_t out_of_order = 0;
+  const auto pop_until = [&](uint64_t target) {
+    uint64_t v = 0;
+    while (popped < target) {
+      if (!q.TryPopSingleConsumer(&v)) {
+        std::this_thread::yield();
+        continue;
+      }
+      ++popped;
+      const uint64_t p = v >> 32;
+      const uint64_t seq = v & 0xffffffffu;
+      if (p >= kProducers || seq != next[p]) {
+        ++out_of_order;
+        continue;
+      }
+      next[p] = seq + 1;
+    }
+  };
+  // First consumer takes half, then exits; this thread, ordered after
+  // it by the join, takes the rest.
+  std::thread consumer([&] { pop_until(kTotal / 2); });
+  consumer.join();
+  pop_until(kTotal);
+  for (std::thread& t : producers) t.join();
+  EXPECT_EQ(out_of_order, 0u);
+  for (uint64_t p = 0; p < kProducers; ++p) EXPECT_EQ(next[p], kPerProducer);
+  uint64_t extra = 0;
+  EXPECT_FALSE(q.TryPopSingleConsumer(&extra));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Builds the tree under a sanitizer and runs the concurrent hot-path
-# surface: every test labeled obs-smoke (sharded metrics, event-log
-# merge, trace export, rolling windows), parallel-smoke (thread pool
-# dispatch + the tensor-buffer arena), prof-smoke (sampling
-# profiler: SIGPROF handler + lock-free rings under an oversubscribed
-# hammer), and serve-smoke (serving front-end: MPMC queue hammer,
+# surface: every test labeled obs-smoke (obs_test, the registry's own
+# tests; metrics_shard_test, the sharded metrics and their slot leases;
+# event-log merge, trace export, rolling windows), parallel-smoke
+# (thread pool dispatch + the tensor-buffer arena), prof-smoke
+# (sampling profiler: SIGPROF handler + lock-free rings under an
+# oversubscribed hammer and on a serving worker), and serve-smoke
+# (serving front-end: MPMC queue hammer and its single-consumer pop,
 # micro-batcher/shard pipeline, lock-free circuit breaker, plus the
 # bench_serving smoke with its bit-identity and zero-alloc gates),
 # drift-smoke (the self-healing loop: feedback rings, sliding-window
