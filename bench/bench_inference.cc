@@ -186,7 +186,7 @@ int Main() {
   SetThreads(1);  // isolate the algorithmic speedup from the pool
 
   // DMV: 11 columns, so the MADE input/output space is many one-hot
-  // blocks wide — the workload shape the sparse sampler was built for.
+  // blocks wide, and the sampler's inputs are mostly zeros.
   Table table = MakeDmv(bench::DefaultRows(), 3).value();
   bench::Splits splits = bench::MakeSplits(table);
   std::vector<Query> queries;

@@ -143,7 +143,6 @@ void NaruEstimator::BuildNetwork(Rng& rng) {
 
   net_ = std::make_unique<nn::Sequential>();
   std::vector<int> prev_degrees = io_degrees;
-  bool prev_is_input = true;
   for (int l = 0; l < config_.hidden_layers; ++l) {
     std::vector<int> h_degrees =
         HiddenDegrees(config_.hidden, static_cast<int>(num_cols), rng);
@@ -152,13 +151,11 @@ void NaruEstimator::BuildNetwork(Rng& rng) {
         prev_degrees.size(), config_.hidden, std::move(mask), rng));
     net_->Append(std::make_unique<nn::Relu>());
     prev_degrees = std::move(h_degrees);
-    prev_is_input = false;
   }
   // Output layer: strict inequality enforces autoregressive ordering.
   nn::Tensor out_mask = MakeMask(prev_degrees, io_degrees, /*strict=*/true);
   net_->Append(std::make_unique<nn::MaskedDense>(
       prev_degrees.size(), total, std::move(out_mask), rng));
-  (void)prev_is_input;
 }
 
 Status NaruEstimator::Train(const Table& table) {
@@ -237,102 +234,54 @@ Status NaruEstimator::Train(const Table& table) {
   return Status::OK();
 }
 
-void NaruEstimator::ProgressiveSample(const PreparedQuery* queries, size_t n,
-                                      double* sel_out) const {
-  const size_t total = binner_->TotalBins();
+double NaruEstimator::ProgressiveSample(const PreparedQuery& query) const {
   const size_t S = std::max<size_t>(1, config_.num_samples);
-  obs::Metrics().GetCounter("ce.naru.progressive_samples").Increment(S * n);
+  obs::Metrics().GetCounter("ce.naru.progressive_samples").Increment(S);
 
   const size_t num_layers = net_->num_layers();
-  const auto* first =
-      dynamic_cast<const nn::MaskedDense*>(&net_->layer(0));
   const auto* last =
       dynamic_cast<const nn::MaskedDense*>(&net_->layer(num_layers - 1));
-  CONFCARD_CHECK_MSG(first != nullptr && last != nullptr,
-                     "naru: unexpected network layout");
+  CONFCARD_CHECK_MSG(last != nullptr, "naru: unexpected network layout");
 
-  int max_last = -1;
-  for (size_t q = 0; q < n; ++q) {
-    max_last = std::max(max_last, queries[q].last_constrained);
-  }
-
-  // Row q*S+s is sample path s of query q. Each query draws from its own
-  // Rng stream so its draw sequence is the same no matter how queries
-  // are batched together.
-  std::vector<Rng> rngs;
-  rngs.reserve(n);
-  for (size_t q = 0; q < n; ++q) rngs.emplace_back(config_.seed ^ 0x5EEDBEEFULL);
-
-  std::vector<double> path_prob(n * S, 1.0);
-  // Per-row one-hot prefix as absolute logit indices. Block offsets grow
-  // with the column, so each prefix is ascending by construction — the
-  // order SparseRows requires for bit-identical accumulation.
-  std::vector<std::vector<uint32_t>> prefix(n * S);
-  const size_t max_steps = static_cast<size_t>(std::max(0, max_last) + 1);
-  for (auto& p : prefix) p.reserve(max_steps);
-
-  std::vector<size_t> active;       // live row ids, ascending
-  std::vector<uint32_t> indices;    // concatenated prefixes of live rows
-  std::vector<size_t> row_offsets;  // active.size() + 1 entries
+  // Row s of `input` is sample path s: the one-hot blocks of the columns
+  // it has drawn so far, as in a training batch.
+  nn::Tensor input(S, binner_->TotalBins());
+  std::vector<double> path_prob(S, 1.0);
   std::vector<float> probs;
+  Rng rng(config_.seed ^ 0x5EEDBEEFULL);
 
-  for (int c = 0; c <= max_last; ++c) {
+  for (int c = 0; c <= query.last_constrained; ++c) {
     const size_t lo_off = block_offsets_[static_cast<size_t>(c)];
     const size_t width = block_offsets_[static_cast<size_t>(c) + 1] - lo_off;
 
-    // Active-path compaction: drop rows whose path already has zero
-    // probability and rows of queries with no constraint at or beyond
-    // this column. Surviving rows keep their (query asc, sample asc)
-    // order, so each query's draws stay in sample order.
-    active.clear();
-    indices.clear();
-    row_offsets.clear();
-    row_offsets.push_back(0);
-    for (size_t q = 0; q < n; ++q) {
-      if (queries[q].last_constrained < c) continue;
-      for (size_t s = 0; s < S; ++s) {
-        const size_t r = q * S + s;
-        if (path_prob[r] == 0.0) continue;
-        active.push_back(r);
-        indices.insert(indices.end(), prefix[r].begin(), prefix[r].end());
-        row_offsets.push_back(indices.size());
-      }
-    }
-    if (active.empty()) continue;
-
-    const nn::SparseRows sparse{active.size(), total, indices.data(),
-                                row_offsets.data()};
-    // One-hot gather into the first layer; only the current block's
-    // output columns out of the last. Middle layers run dense on the
-    // compacted batch.
+    // The hidden layers on every path, then only column c's logits.
     nn::Tensor logits;
     if (num_layers == 1) {
-      logits = first->ApplyOneHotCols(sparse, lo_off, lo_off + width);
+      logits = last->ApplyCols(input, lo_off, lo_off + width);
     } else {
-      nn::Tensor x = first->ApplyOneHot(sparse);
+      nn::Tensor x = net_->layer(0).Apply(input);
       for (size_t l = 1; l + 1 < num_layers; ++l) {
-        x = net_->layer(l).Apply(x);
+        x = net_->layer(l).Apply(std::move(x));
       }
       logits = last->ApplyCols(x, lo_off, lo_off + width);
     }
 
     probs.resize(width);
-    for (size_t i = 0; i < active.size(); ++i) {
-      const size_t r = active[i];
-      const size_t q = r / S;
-      nn::SoftmaxRow(logits.RowPtr(i), width, probs.data());
-
-      const auto [blo, bhi] = queries[q].ranges[static_cast<size_t>(c)];
+    const auto [blo, bhi] = query.ranges[static_cast<size_t>(c)];
+    for (size_t s = 0; s < S; ++s) {
+      // A dead path keeps its row but never draws again.
+      if (path_prob[s] == 0.0) continue;
+      nn::SoftmaxRow(logits.RowPtr(s), width, probs.data());
       double mass = 0.0;
       if (blo <= bhi) {
         for (int b = blo; b <= bhi; ++b) {
           mass += static_cast<double>(probs[static_cast<size_t>(b)]);
         }
       }
-      path_prob[r] *= mass;
-      if (path_prob[r] == 0.0) continue;
+      path_prob[s] *= mass;
+      if (path_prob[s] == 0.0) continue;
 
-      double u = rngs[q].NextDouble() * mass;
+      double u = rng.NextDouble() * mass;
       int chosen = blo;
       double acc = 0.0;
       for (int b = blo; b <= bhi; ++b) {
@@ -343,16 +292,19 @@ void NaruEstimator::ProgressiveSample(const PreparedQuery* queries, size_t n,
         }
         chosen = b;
       }
-      prefix[r].push_back(static_cast<uint32_t>(lo_off +
-                                                static_cast<size_t>(chosen)));
+      input.At(s, lo_off + static_cast<size_t>(chosen)) = 1.0f;
     }
   }
 
-  for (size_t q = 0; q < n; ++q) {
-    double mean = 0.0;
-    for (size_t s = 0; s < S; ++s) mean += path_prob[q * S + s];
-    sel_out[q] = mean / static_cast<double>(S);
-  }
+  double mean = 0.0;
+  for (double p : path_prob) mean += p;
+  return mean / static_cast<double>(S);
+}
+
+double NaruEstimator::Selectivity(const PreparedQuery& query) const {
+  if (query.last_constrained < 0) return 1.0;
+  if (query.empty_range) return 0.0;
+  return ProgressiveSample(query);
 }
 
 NaruEstimator::PreparedQuery NaruEstimator::Prepare(const Query& query) const {
@@ -380,12 +332,7 @@ NaruEstimator::PreparedQuery NaruEstimator::Prepare(const Query& query) const {
 
 double NaruEstimator::EstimateSelectivity(const Query& query) const {
   CONFCARD_CHECK_MSG(net_ != nullptr, "naru: not trained");
-  const PreparedQuery prepared = Prepare(query);
-  if (prepared.last_constrained < 0) return 1.0;
-  if (prepared.empty_range) return 0.0;
-  double sel = 0.0;
-  ProgressiveSample(&prepared, 1, &sel);
-  return sel;
+  return Selectivity(Prepare(query));
 }
 
 void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
@@ -398,37 +345,12 @@ void NaruEstimator::EstimateBatch(const Query* queries, size_t n,
       obs::Metrics().GetHistogram("ce.naru.infer_us");
   Stopwatch watch;
 
-  // Trivial queries (no predicates / empty bin ranges) are answered
-  // directly; the rest share the sampling engine.
-  std::vector<PreparedQuery> prepared(n);
-  std::vector<size_t> engine_idx;
-  engine_idx.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    prepared[i] = Prepare(queries[i]);
-    if (prepared[i].last_constrained < 0) {
-      out[i] = num_rows_;
-    } else if (prepared[i].empty_range) {
-      out[i] = 0.0;
-    } else {
-      engine_idx.push_back(i);
-    }
-  }
-  if (!engine_idx.empty()) {
-    std::vector<PreparedQuery> engine_queries;
-    engine_queries.reserve(engine_idx.size());
-    for (size_t idx : engine_idx) engine_queries.push_back(prepared[idx]);
-    std::vector<double> sel(engine_idx.size());
-    ProgressiveSample(engine_queries.data(), engine_queries.size(),
-                      sel.data());
-    for (size_t k = 0; k < engine_idx.size(); ++k) {
-      out[engine_idx[k]] = sel[k] * num_rows_;
-    }
-  }
-
-  if (fault::Enabled()) {
-    for (size_t i = 0; i < n; ++i) {
+    const PreparedQuery prepared = Prepare(queries[i]);
+    out[i] = Selectivity(prepared) * num_rows_;
+    if (fault::Enabled()) {
       const uint64_t key = QueryContentKey(queries[i]);
-      if (prepared[i].last_constrained >= 0 && !prepared[i].empty_range) {
+      if (prepared.last_constrained >= 0 && !prepared.empty_range) {
         out[i] = fault::PerturbValue("sampler.step", key, out[i]);
       }
       out[i] = fault::PerturbValue("naru.forward", key, out[i]);

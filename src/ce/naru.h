@@ -41,10 +41,8 @@ class NaruEstimator : public DataDrivenEstimator {
 
   std::string name() const override { return "naru"; }
   Status Train(const Table& table) override;
-  /// Cross-query batched progressive sampling: non-trivial queries share
-  /// one forward per column step (their sample rows are stacked into a
-  /// single block-sparse batch). Each query keeps its own sampler
-  /// stream, so its value does not depend on its batch.
+  /// Progressive sampling, one query at a time. Each query starts its
+  /// own sampler stream, so its value does not depend on its batch.
   void EstimateBatch(const Query* queries, size_t n,
                      double* out) const override;
 
@@ -74,16 +72,16 @@ class NaruEstimator : public DataDrivenEstimator {
   void BuildNetwork(Rng& rng);
   /// Intersects the query's predicates into per-column bin ranges.
   PreparedQuery Prepare(const Query& query) const;
-  /// Progressive sampling of `n` prepared queries together. Per column
-  /// step, live sample rows (path_prob != 0, query still constrained at
-  /// this column) across all queries are compacted into one block-sparse
-  /// batch; the forward gathers first-layer weight rows for the set
-  /// one-hot indices and computes only the output columns of the current
-  /// block. Writes mean path probabilities to sel_out[0..n). Each query
-  /// draws from its own Rng stream in sample order, so a query's result
-  /// is the same in any batch.
-  void ProgressiveSample(const PreparedQuery* queries, size_t n,
-                         double* sel_out) const;
+  /// Progressive sampling of one query with a constraint: its
+  /// num_samples paths are the rows of a dense one-hot batch. Per column
+  /// step up to the last constrained one, the hidden layers run on every
+  /// path and the output layer computes only the current column's
+  /// logits; each live path then draws a bin inside the query's range.
+  /// Returns the mean path probability.
+  double ProgressiveSample(const PreparedQuery& query) const;
+  /// The query's selectivity: 1 without predicates, 0 for an empty
+  /// range, else ProgressiveSample.
+  double Selectivity(const PreparedQuery& query) const;
 
   NaruConfig config_;
   double num_rows_ = 0.0;

@@ -1,10 +1,8 @@
 #include "nn/layers.h"
 
-#include <cstring>
 #include <utility>
 
 #include "common/check.h"
-#include "nn/row_blocks.h"
 #include "nn/simd.h"
 
 namespace confcard {
@@ -35,61 +33,6 @@ Tensor LinearForward(const Tensor& input, const Parameter& weight,
   Tensor out = MatMul(input, weight.value);
   AddBiasRows(&out, bias);
   return out;
-}
-
-// Vector j-sweeps for the engine-only forward paths below. Same
-// bit-identity rule as the tensor.cc kernels: lanes span independent
-// output columns, each element keeps its scalar accumulation sequence
-// (one rounding per op, tails scalar).
-
-// orow[0:m) += wrow[0:m).
-template <typename L>
-inline void AddRowVec(const float* wrow, size_t m, float* orow) {
-  constexpr size_t W = L::kWidth;
-  size_t j = 0;
-  for (; j + W <= m; j += W) {
-    L::Store(orow + j, L::Add(L::Load(orow + j), L::Load(wrow + j)));
-  }
-  for (; j < m; ++j) orow[j] += wrow[j];
-}
-
-// out[r] = sum over the row's set indices p (ascending) of W[p, c0:c1),
-// then + bias — the exact accumulation sequence the dense GEMM performs
-// on the equivalent one-hot tensor (1.0f * w == w, and skipped zero
-// terms cannot perturb an accumulator that is never -0.0), restricted to
-// the requested output columns.
-template <typename L>
-Tensor OneHotForwardColsImpl(const SparseRows& input, const Parameter& weight,
-                             const Parameter& bias, size_t c0, size_t c1) {
-  const size_t m = c1 - c0;
-  size_t nnz_total = input.rows == 0 ? 0 : input.row_offsets[input.rows];
-  Tensor out = Tensor::Uninitialized(input.rows, m);
-  ForEachRowBlock(input.rows, 2 * nnz_total * m, [&](size_t r0, size_t r1) {
-    const float* brow = bias.value.RowPtr(0) + c0;
-    for (size_t r = r0; r < r1; ++r) {
-      float* orow = out.RowPtr(r);
-      std::memset(orow, 0, m * sizeof(float));
-      const uint32_t* idx = input.RowIndices(r);
-      const size_t nnz = input.RowNnz(r);
-      for (size_t t = 0; t < nnz; ++t) {
-        AddRowVec<L>(weight.value.RowPtr(idx[t]) + c0, m, orow);
-      }
-      AddRowVec<L>(brow, m, orow);
-    }
-  });
-  return out;
-}
-
-Tensor OneHotForwardCols(const SparseRows& input, const Parameter& weight,
-                         const Parameter& bias, size_t c0, size_t c1) {
-  if constexpr (simd::kHaveNativeLanes) {
-    if (SimdEnabled()) {
-      return OneHotForwardColsImpl<simd::NativeLanes>(input, weight, bias, c0,
-                                                      c1);
-    }
-  }
-  // The W=1 instantiation is the scalar reference loop, unchanged.
-  return OneHotForwardColsImpl<simd::ScalarLanes>(input, weight, bias, c0, c1);
 }
 
 }  // namespace
@@ -195,18 +138,6 @@ Tensor MaskedDense::Forward(const Tensor& input) {
 
 Tensor MaskedDense::Apply(const Tensor& input) const {
   return LinearForward(input, weight_, bias_);
-}
-
-Tensor MaskedDense::ApplyOneHot(const SparseRows& input) const {
-  CONFCARD_DCHECK(input.cols == weight_.value.rows());
-  return OneHotForwardCols(input, weight_, bias_, 0, weight_.value.cols());
-}
-
-Tensor MaskedDense::ApplyOneHotCols(const SparseRows& input, size_t col_begin,
-                                    size_t col_end) const {
-  CONFCARD_DCHECK(input.cols == weight_.value.rows());
-  CONFCARD_DCHECK(col_begin <= col_end && col_end <= weight_.value.cols());
-  return OneHotForwardCols(input, weight_, bias_, col_begin, col_end);
 }
 
 Tensor MaskedDense::ApplyCols(const Tensor& input, size_t col_begin,

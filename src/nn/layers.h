@@ -99,17 +99,6 @@ class MaskedDense : public Layer {
   void BackwardParams(const Tensor& grad_output) override;
   std::vector<Parameter*> Parameters() override;
 
-  /// Inference forward over a block-sparse one-hot input (see
-  /// SparseRows): gathers the weight rows named by each input row's set
-  /// indices instead of multiplying zeros — O(nnz * out) instead of
-  /// O(in * out). Nonzero contributions accumulate in the same ascending
-  /// index order as Apply's dense GEMM, so outputs are bit-identical to
-  /// Apply on the equivalent dense tensor (finite weights).
-  Tensor ApplyOneHot(const SparseRows& input) const;
-  /// ApplyOneHot restricted to output columns [col_begin, col_end).
-  /// Column j of the result equals column col_begin + j of ApplyOneHot.
-  Tensor ApplyOneHotCols(const SparseRows& input, size_t col_begin,
-                         size_t col_end) const;
   /// Dense inference forward restricted to output columns
   /// [col_begin, col_end) — what Naru's sampler needs from the MADE
   /// output layer, which is softmaxed one column block at a time:

@@ -3,10 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/check.h"
-#include "nn/row_blocks.h"
+#include "common/parallel.h"
 #include "nn/simd.h"
 
 namespace confcard {
@@ -50,6 +51,31 @@ void Tensor::Scale(float s) {
 }
 
 namespace {
+
+// Products below this many flops run inline on the calling thread.
+// Below it, a 4-thread product costs 1.2-2.4x the CPU of the inline one
+// on a 4-vCPU AVX-512 host; from it on, at most 1.33x, with a 2-3x
+// wall-time gain (docs/PERFORMANCE.md, "When a GEMM goes to the pool").
+// Every training GEMM of MSCN, Naru and LW-NN at the benchmark's shapes
+// is below it; the largest, Naru's 64 -> 301 output layer at batch 128,
+// is 4.9 Mflop.
+constexpr size_t kMinFlopsToParallelize = size_t{1} << 23;
+
+// Runs kernel(r0, r1) over [0, rows): one inline call for products
+// below kMinFlopsToParallelize flops or 8 rows, else ParallelFor over
+// chunks aligned to the 4-row micro block, so the grouping of rows into
+// blocks — and therefore the zero-block skip decisions — is identical
+// at every thread count.
+template <typename Kernel>
+void ForEachRowBlock(size_t rows, size_t flops, const Kernel& kernel) {
+  if (flops < kMinFlopsToParallelize || rows < 8) {
+    kernel(0, rows);
+    return;
+  }
+  const size_t threads = static_cast<size_t>(std::max(1, CurrentThreads()));
+  const size_t chunk = std::max<size_t>(1, rows / (threads * 4));
+  ParallelFor(rows, (chunk + 3) & ~size_t{3}, kernel);
+}
 
 // C[r0:r1) = A[r0:r1) * B. Four output rows share one streaming pass
 // over B; each row's element is still a p-ascending sum, so values are

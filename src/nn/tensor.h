@@ -6,7 +6,6 @@
 #define CONFCARD_NN_TENSOR_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -99,26 +98,6 @@ class Tensor {
   size_t rows_ = 0;
   size_t cols_ = 0;
   FloatBuffer data_;
-};
-
-/// Read-only view of a row-sparse binary matrix: each row holds the
-/// ascending column indices whose value is exactly 1.0f (everything else
-/// is zero). This is the shape of Naru's progressive-sampling input — a
-/// concatenation of one-hot blocks, one per already-sampled column — and
-/// lets the first MADE layer gather weight rows instead of multiplying
-/// (batch, TotalBins) worth of zeros. The view does not own its buffers;
-/// callers keep `indices`/`row_offsets` alive for the duration of the
-/// forward.
-struct SparseRows {
-  size_t rows = 0;
-  size_t cols = 0;                      // logical dense width
-  const uint32_t* indices = nullptr;    // ascending within each row
-  const size_t* row_offsets = nullptr;  // rows + 1 entries into `indices`
-
-  size_t RowNnz(size_t r) const { return row_offsets[r + 1] - row_offsets[r]; }
-  const uint32_t* RowIndices(size_t r) const {
-    return indices + row_offsets[r];
-  }
 };
 
 // The products below use 4-output-row blocks (each B row streams once

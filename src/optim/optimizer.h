@@ -72,10 +72,10 @@ struct JoinPlan {
 
 /// Hook applied to every multi-table cardinality estimate the optimizer
 /// requests, receiving the subset of tables being estimated. Identity by
-/// default. The Table I experiment injects the PI upper bound here: the
-/// paper calibrates delta on the *selectivity* scale, so the additive
-/// inflation of a subquery is delta * (cartesian size of its base
-/// tables) — pessimism that scales with the subquery.
+/// default. The Table I experiment injects the PI upper bound here: one
+/// cardinality delta, calibrated on full-query residuals, is added to
+/// the estimate of every subset (`raw_estimate + delta`), whether it
+/// joins two tables or all of them (EXPERIMENTS.md, D4).
 using EstimateAdjuster = std::function<double(
     double raw_estimate, const std::vector<std::string>& tables)>;
 

@@ -1,12 +1,11 @@
-// Regression coverage for the batched, sparsity-aware inference engine:
-// (1) golden fixed-seed values for Naru progressive sampling, MSCN and
-// LW-NN, recorded from the per-query reference paths these estimators
-// used to carry and asserted bit-exact at several batch sizes and
-// through the harness at 1 and 4 threads — any change to a forward
-// shows up here first; (2) batches that mix trivial (no-predicate,
-// empty-range) queries with Naru engine queries against batches of one;
-// (3) the MaskedDense sparse kernels against their dense Apply
-// equivalents.
+// Regression coverage for the batched inference engine: (1) golden
+// fixed-seed values for Naru progressive sampling, MSCN and LW-NN,
+// recorded from the per-query reference paths these estimators used to
+// carry and asserted bit-exact at several batch sizes and through the
+// harness at 1 and 4 threads — any change to a forward shows up here
+// first; (2) batches that mix trivial (no-predicate, empty-range)
+// queries with Naru engine queries against batches of one; (3) the
+// column-restricted MaskedDense forward against Apply.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,6 +110,26 @@ constexpr double kGoldenSelectivity[] = {
     0x1.8724f4839279ep-3,
 };
 
+// The same queries against a Naru with no hidden layer: one masked
+// layer maps the one-hot input straight to the logits, so every column
+// step of the sampler is a single column-restricted product. Recorded
+// from the sampler that gathered first-layer weight rows per one-hot
+// index (hexfloat: exact bits).
+constexpr double kGoldenSelectivityNoHidden[] = {
+    0x1.7aab6190fd944p-10,
+    0x1.0fe20448c146bp-4,
+    0x1.1fcf0832c9d6p-5,
+    0x1.154b7767410a9p-2,
+    0x1.0c5892ebbe22ep-4,
+    0x1.4975b05967bcp-5,
+    0x1.106451475e552p-6,
+    0x1.208b91f30c2f9p-8,
+    0x1.24c2912aea7a6p-8,
+    0x1.8bd3dp-3,
+    0x1.1bfe682520734p-4,
+    0x1.73595ad329a93p-3,
+};
+
 // Cardinality estimates of GoldenQueries() (the empty query, then the
 // 12 workload queries), recorded from the per-query unpacked forwards
 // of MSCN and LW-NN trained with the Small*Options above.
@@ -157,6 +176,27 @@ TEST(InferenceBatchTest, GoldenProgressiveSampleBitExact) {
   for (size_t i = 0; i < f.workload.size(); ++i) {
     ASSERT_EQ(naru.EstimateSelectivity(f.workload[i].query),
               kGoldenSelectivity[i])
+        << "query " << i;
+  }
+}
+
+TEST(InferenceBatchTest, GoldenProgressiveSampleWithoutHiddenLayersBitExact) {
+  Fixture f = MakeFixture();
+  NaruConfig nc = SmallNaruConfig();
+  nc.hidden_layers = 0;
+  NaruEstimator naru(nc);
+  ASSERT_TRUE(naru.Train(f.table).ok());
+  ASSERT_EQ(f.workload.size(), std::size(kGoldenSelectivityNoHidden));
+
+  std::vector<Query> queries;
+  for (const LabeledQuery& lq : f.workload) queries.push_back(lq.query);
+  std::vector<double> batched(queries.size());
+  naru.EstimateBatch(queries.data(), queries.size(), batched.data());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(naru.EstimateSelectivity(queries[i]),
+              kGoldenSelectivityNoHidden[i])
+        << "query " << i;
+    ASSERT_EQ(batched[i], kGoldenSelectivityNoHidden[i] * 2000.0)
         << "query " << i;
   }
 }
@@ -246,11 +286,11 @@ TEST(InferenceBatchTest, HarnessEstimatesReproduceGoldenAtOneAndFourThreads) {
   SetThreads(saved_threads);
 }
 
-// Kernel-level contract: the sparse one-hot forward and the
-// column-restricted dense forward reproduce Apply's bits exactly, at
+// Kernel-level contract: the column-restricted forward reproduces
+// Apply's bits exactly on block one-hot rows (the sampler's input), at
 // single rows, part blocks and many blocks, for column ranges that start
 // and end inside a vector.
-TEST(InferenceBatchTest, MaskedDenseSparseKernelsMatchApply) {
+TEST(InferenceBatchTest, MaskedDenseApplyColsMatchesApplyOnOneHotRows) {
   const size_t in_dim = 37, out_dim = 23;
   Rng rng(123);
   nn::Tensor mask(in_dim, out_dim);
@@ -261,43 +301,30 @@ TEST(InferenceBatchTest, MaskedDenseSparseKernelsMatchApply) {
 
   for (size_t rows : {1, 2, 3, 4, 5, 9, 64}) {
     SCOPED_TRACE(::testing::Message() << "rows " << rows);
-    // Random block-sparse one-hot rows (including an all-zero row).
-    std::vector<uint32_t> indices;
-    std::vector<size_t> offsets = {0};
+    // Random block one-hot rows (including an all-zero row).
     nn::Tensor dense(rows, in_dim);
     for (size_t r = 0; r < rows; ++r) {
       const size_t nnz = r == 4 ? 0 : 1 + rng.NextUint64(4);
       uint32_t pos = 0;
       for (size_t t = 0; t < nnz; ++t) {
-        // Strictly ascending indices across the row.
+        // Strictly ascending positions across the row.
         pos += static_cast<uint32_t>(rng.NextUint64(in_dim / 5)) + 1;
         if (pos >= in_dim) break;
-        indices.push_back(pos);
         dense.At(r, pos) = 1.0f;
       }
-      offsets.push_back(indices.size());
     }
-    const nn::SparseRows sparse{rows, in_dim, indices.data(), offsets.data()};
 
     const nn::Tensor want = layer.Apply(dense);
-    const nn::Tensor got = layer.ApplyOneHot(sparse);
-    ASSERT_EQ(got.rows(), want.rows());
-    ASSERT_EQ(got.cols(), want.cols());
-    for (size_t i = 0; i < want.size(); ++i) {
-      ASSERT_EQ(got.data()[i], want.data()[i]) << "element " << i;
-    }
-
     for (const auto& [c0, c1] : {std::pair<size_t, size_t>{5, 17},
                                  {1, out_dim - 1},
                                  {9, out_dim},
                                  {0, out_dim}}) {
       const nn::Tensor got_cols = layer.ApplyCols(dense, c0, c1);
-      const nn::Tensor got_oh_cols = layer.ApplyOneHotCols(sparse, c0, c1);
+      ASSERT_EQ(got_cols.rows(), rows);
       ASSERT_EQ(got_cols.cols(), c1 - c0);
       for (size_t r = 0; r < rows; ++r) {
         for (size_t c = c0; c < c1; ++c) {
           ASSERT_EQ(got_cols.At(r, c - c0), want.At(r, c));
-          ASSERT_EQ(got_oh_cols.At(r, c - c0), want.At(r, c));
         }
       }
     }

@@ -324,61 +324,51 @@ TEST(SimdKernelTest, MlpApplyFusedMatchesScalarApply) {
   }
 }
 
-TEST(SimdKernelTest, SparseOneHotGathersBitIdentical) {
+TEST(SimdKernelTest, ApplyColsBitIdenticalToApplyOnOneHotAndRandomRows) {
+  // The column-slice forward (Naru's per-block output softmax input): the
+  // tiled kernel over a column range, on either lane set, against the
+  // matching columns of the scalar Apply.
   SimdRestorer restore;
   Rng rng(6789);
   const size_t w = SimdLaneWidth();
   const size_t in_dim = 24;
   const size_t out_dim = 3 * w + 1;  // forces a j-tail in every sweep
-  // All-ones mask so the gather covers every weight row.
+  // All-ones mask so every weight row takes part.
   Tensor ones(in_dim, out_dim);
   ones.Fill(1.0f);
   MaskedDense dense_layer(in_dim, out_dim, ones, rng);
 
-  // Block-sparse rows: ascending indices, varying nnz (incl. empty).
-  const size_t rows = 7;
-  std::vector<uint32_t> indices;
-  std::vector<size_t> offsets = {0};
+  // Block one-hot rows as the sampler builds them: ascending set bits,
+  // 0..3 per row (an all-zero row included); then random rows.
+  std::vector<Tensor> inputs;
+  Tensor one_hot(7, in_dim);
   Rng idx_rng(42);
-  for (size_t r = 0; r < rows; ++r) {
-    const size_t nnz = r % 4;  // 0..3 set bits per row
-    uint32_t base = 0;
-    for (size_t t = 0; t < nnz; ++t) {
-      base += 1 + static_cast<uint32_t>(idx_rng.NextDouble() * 5);
-      indices.push_back(std::min<uint32_t>(base, in_dim - 1));
+  for (size_t r = 0; r < one_hot.rows(); ++r) {
+    size_t base = 0;
+    for (size_t t = 0; t < r % 4; ++t) {
+      base += 1 + static_cast<size_t>(idx_rng.NextDouble() * 5);
+      one_hot.At(r, std::min(base, in_dim - 1)) = 1.0f;
     }
-    offsets.push_back(indices.size());
   }
-  SparseRows sparse;
-  sparse.rows = rows;
-  sparse.cols = in_dim;
-  sparse.indices = indices.data();
-  sparse.row_offsets = offsets.data();
+  inputs.push_back(one_hot);
+  for (size_t n : {1, 2, 3, 4, 5, 64}) {
+    inputs.push_back(RandomTensor(n, in_dim, 0.6, rng));
+  }
 
-  SetSimdEnabled(false);
-  Tensor ref_full = dense_layer.ApplyOneHot(sparse);
-  Tensor ref_cols = dense_layer.ApplyOneHotCols(sparse, 2, 2 + w + 1);
-  SetSimdEnabled(true);
-  Tensor got_full = dense_layer.ApplyOneHot(sparse);
-  Tensor got_cols = dense_layer.ApplyOneHotCols(sparse, 2, 2 + w + 1);
-  ExpectBitIdentical(ref_full, got_full, "ApplyOneHot");
-  ExpectBitIdentical(ref_cols, got_cols, "ApplyOneHotCols");
-
-  // Dense column-slice path (Naru's per-block output softmax input): the
-  // tiled kernel over a column range, on either lane set, against the
-  // matching columns of the scalar Apply. The ranges start and end
-  // inside a vector, span one vector's interior, cover every column,
-  // or are empty.
+  // The ranges start and end inside a vector, span one vector's
+  // interior, cover every column, or are empty.
   const std::pair<size_t, size_t> ranges[] = {
       {1, out_dim - 2}, {2, 3 + w / 2}, {w - 1, 2 * w + 1}, {0, out_dim},
       {3, 3}};
-  for (size_t n : {1, 2, 3, 4, 5, 64}) {
-    const Tensor dense_in = RandomTensor(n, in_dim, 0.6, rng);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const Tensor& dense_in = inputs[i];
+    const size_t n = dense_in.rows();
     SetSimdEnabled(false);
     const Tensor full = dense_layer.Apply(dense_in);
     for (const auto& [c0, c1] : ranges) {
       SCOPED_TRACE(::testing::Message()
-                   << "rows " << n << " cols [" << c0 << ", " << c1 << ")");
+                   << (i == 0 ? "one-hot" : "random") << " rows " << n
+                   << " cols [" << c0 << ", " << c1 << ")");
       Tensor want(n, c1 - c0);
       for (size_t r = 0; r < n; ++r) {
         for (size_t c = c0; c < c1; ++c) want.At(r, c - c0) = full.At(r, c);
