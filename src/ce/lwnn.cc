@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/fault.h"
@@ -122,7 +123,7 @@ Status LwnnEstimator::Train(const Table& table, const Workload& workload) {
                   batch.RowPtr(i - start));
         y.push_back(targets[order[i]]);
       }
-      nn::Tensor pred = net_->Forward(batch);
+      nn::Tensor pred = net_->Forward(std::move(batch));
       nn::Tensor grad;
       if (options_.loss.kind == LossSpec::kPinball) {
         loss_sum += nn::PinballLoss(pred, y, options_.loss.tau, &grad);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -61,31 +62,20 @@ void PoolMeanInto(const nn::Tensor& elems, const std::vector<size_t>& offsets,
   }
 }
 
-// Mean-pools per-sample segments of `elems` into a (B, dim) tensor.
-nn::Tensor PoolMean(const nn::Tensor& elems,
-                    const std::vector<size_t>& offsets, size_t batch) {
-  nn::Tensor out(batch, elems.cols());
-  PoolMeanInto(elems, offsets, batch, &out, 0);
-  return out;
-}
-
-// Distributes pooled gradients back to set elements (inverse of
-// PoolMean).
-nn::Tensor UnpoolMean(const nn::Tensor& grad_pooled,
-                      const std::vector<size_t>& offsets,
-                      size_t total_elems) {
-  nn::Tensor out(std::max<size_t>(total_elems, 1), grad_pooled.cols());
-  const size_t batch = grad_pooled.rows();
-  for (size_t b = 0; b < batch; ++b) {
+// Distributes the `cols`-wide block of pooled gradients starting at
+// column `col_offset` back to the set elements (inverse of
+// PoolMeanInto). The samples' segments cover every element row.
+nn::Tensor UnpoolMean(const nn::Tensor& grad_pooled, size_t col_offset,
+                      size_t cols, const std::vector<size_t>& offsets) {
+  nn::Tensor out = nn::Tensor::Uninitialized(offsets.back(), cols);
+  for (size_t b = 0; b + 1 < offsets.size(); ++b) {
     const size_t lo = offsets[b], hi = offsets[b + 1];
     if (hi == lo) continue;
     const float inv = 1.0f / static_cast<float>(hi - lo);
-    const float* grow = grad_pooled.RowPtr(b);
+    const float* grow = grad_pooled.RowPtr(b) + col_offset;
     for (size_t r = lo; r < hi; ++r) {
       float* orow = out.RowPtr(r);
-      for (size_t c = 0; c < grad_pooled.cols(); ++c) {
-        orow[c] = grow[c] * inv;
-      }
+      for (size_t c = 0; c < cols; ++c) orow[c] = grow[c] * inv;
     }
   }
   return out;
@@ -148,12 +138,8 @@ nn::Tensor MscnModel::Forward(const std::vector<const MscnInput*>& batch) {
     nn::Tensor packed = PackSet(batch, member, dim, &scratch->offsets);
     scratch->any = scratch->offsets.back() > 0;
     if (!scratch->any) return;  // all sets empty: pooled stays zero
-    nn::Tensor hidden = mlp->Forward(packed);
-    nn::Tensor mean = PoolMean(hidden, scratch->offsets, batch_size_);
-    for (size_t b = 0; b < batch_size_; ++b) {
-      std::copy(mean.RowPtr(b), mean.RowPtr(b) + h,
-                pooled.RowPtr(b) + out_offset);
-    }
+    PoolMeanInto(mlp->Forward(std::move(packed)), scratch->offsets,
+                 batch_size_, &pooled, out_offset);
   };
 
   run_set(&MscnInput::tables, table_mlp_.get(), table_dim_, &table_scratch_,
@@ -162,23 +148,16 @@ nn::Tensor MscnModel::Forward(const std::vector<const MscnInput*>& batch) {
   run_set(&MscnInput::predicates, pred_mlp_.get(), pred_dim_,
           &pred_scratch_, 2 * h);
 
-  return out_mlp_->Forward(pooled);
+  return out_mlp_->Forward(std::move(pooled));
 }
 
 void MscnModel::Backward(const nn::Tensor& grad_pred) {
-  nn::Tensor grad_pooled = out_mlp_->Backward(grad_pred);
+  const nn::Tensor grad_pooled = out_mlp_->Backward(grad_pred);
   const size_t h = config_.set_hidden;
 
   auto back_set = [&](nn::Mlp* mlp, SetScratch* scratch, size_t offset) {
     if (!scratch->any) return;
-    nn::Tensor grad_mean(batch_size_, h);
-    for (size_t b = 0; b < batch_size_; ++b) {
-      std::copy(grad_pooled.RowPtr(b) + offset,
-                grad_pooled.RowPtr(b) + offset + h, grad_mean.RowPtr(b));
-    }
-    nn::Tensor grad_elems =
-        UnpoolMean(grad_mean, scratch->offsets, scratch->offsets.back());
-    mlp->BackwardParams(grad_elems);
+    mlp->BackwardParams(UnpoolMean(grad_pooled, offset, h, scratch->offsets));
   };
 
   back_set(table_mlp_.get(), &table_scratch_, 0);

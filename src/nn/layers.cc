@@ -100,6 +100,11 @@ Tensor Dense::ApplyActivated(const Tensor& input, bool relu) const {
   return out;
 }
 
+Tensor Dense::ForwardActivated(Tensor input, bool relu) {
+  input_ = std::move(input);
+  return ApplyActivated(input_, relu);
+}
+
 Tensor Dense::Backward(const Tensor& grad_output) {
   BackwardParams(grad_output);
   return MatMulTransB(grad_output, weight_.value);
@@ -107,7 +112,7 @@ Tensor Dense::Backward(const Tensor& grad_output) {
 
 void Dense::BackwardParams(const Tensor& grad_output) {
   CONFCARD_DCHECK(grad_output.rows() == input_.rows());
-  weight_.grad.Add(MatMulTransA(input_, grad_output));
+  AddMatMulTransA(input_, grad_output, &weight_.grad);
   AddBiasGrad(grad_output, &bias_);
 }
 

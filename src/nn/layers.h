@@ -74,6 +74,14 @@ class Dense : public Layer {
   /// by Relu::Apply; only the number of passes over the tensor differs.
   Tensor ApplyActivated(const Tensor& input, bool relu) const;
 
+  /// Training forward with ApplyActivated's fused sweep. Keeps `input`
+  /// for Backward by taking it over, so a caller that hands on the
+  /// previous layer's output pays no copy (Mlp::Forward).
+  Tensor ForwardActivated(Tensor input, bool relu);
+
+  /// The input kept by the last forward, for Backward.
+  const Tensor& input() const { return input_; }
+
   size_t in_dim() const { return weight_.value.rows(); }
   size_t out_dim() const { return weight_.value.cols(); }
 
@@ -83,7 +91,7 @@ class Dense : public Layer {
  private:
   Parameter weight_;  // (in, out)
   Parameter bias_;    // (1, out)
-  Tensor input_;      // cached for backward
+  Tensor input_;      // kept for backward
 };
 
 /// Dense layer whose weight is elementwise-multiplied by a fixed binary

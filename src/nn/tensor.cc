@@ -226,7 +226,8 @@ void MatMulTransBRows(const Tensor& a, const Tensor& b, Tensor* c, size_t r0,
 // through (1, n); the separate B and C strides let MatMulCols take a
 // column range of B. The kernels below are instantiated per A layout:
 // with kRowsOfA the term stride is the constant 1, else the row stride
-// is.
+// is. With add_to_c each tile stores C(i, j) + its sum instead of the
+// sum, the one rounding C.Add(product) makes.
 struct Gemm {
   const float* a;
   size_t a_row, a_term, k;
@@ -234,14 +235,17 @@ struct Gemm {
   size_t ldb;
   float* c;
   size_t ldc, m;
+  bool add_to_c;
 };
 
 // The terms of the R-row block at row i that survive the zero skip, in
 // ascending order into pidx; returns their number. A term is dropped
 // only when all R values A'(i + r, p) are 0.0f, so a NaN keeps it.
-// Along rows of A, W terms at a time OR the rows' nonzero lane masks;
-// the other terms (all of a column block's, and the last k mod W of a
-// row block's) are tested one by one, so no load leaves a row's [0, k).
+// Along rows of A, W terms at a time OR the rows' nonzero lane masks; a
+// group whose mask is full (every term kept, as in dense activations)
+// is written as W indices at once. The other terms (all of a column
+// block's, and the last k mod W of a row block's) are tested one by
+// one, so no load leaves a row's [0, k).
 template <typename L, size_t R, bool kRowsOfA>
 size_t KeptTerms(const Gemm& g, size_t i, uint32_t* pidx) {
   constexpr size_t W = L::kWidth;
@@ -249,10 +253,16 @@ size_t KeptTerms(const Gemm& g, size_t i, uint32_t* pidx) {
   const size_t a_term = kRowsOfA ? 1 : g.a_term;
   size_t np = 0, p = 0;
   if constexpr (W > 1 && kRowsOfA) {
+    constexpr uint32_t kAllLanes = (uint32_t{1} << W) - 1;
     for (; p + W <= g.k; p += W) {
       uint32_t mask = 0;
       for (size_t r = 0; r < R; ++r) {
         mask |= L::NonzeroMask(L::Load(g.a + (i + r) * a_row + p));
+      }
+      if (mask == kAllLanes) {
+        L::StoreIota(pidx + np, static_cast<uint32_t>(p));
+        np += W;
+        continue;
       }
       for (; mask != 0; mask &= mask - 1) {
         pidx[np++] = static_cast<uint32_t>(p + std::countr_zero(mask));
@@ -306,7 +316,10 @@ inline void Tile(const Gemm& g, size_t i, const uint32_t* pidx, size_t np,
   }
   float* c = g.c + i * g.ldc + j;
   for (size_t r = 0; r < R; ++r) {
-    for (size_t v = 0; v < V; ++v) L::Store(c + r * g.ldc + v * W, acc[r][v]);
+    for (size_t v = 0; v < V; ++v) {
+      float* cv = c + r * g.ldc + v * W;
+      L::Store(cv, g.add_to_c ? L::Add(L::Load(cv), acc[r][v]) : acc[r][v]);
+    }
   }
 }
 
@@ -343,7 +356,10 @@ template <typename L, bool kRowsOfA>
 void TiledRows(const Gemm& g, size_t r0, size_t r1) {
   if (g.m == 0) return;  // an empty C has null rows: nothing to store
   if (g.k == 0) {  // no terms, and A may have no storage to point into
-    for (size_t i = r0; i < r1; ++i) std::fill_n(g.c + i * g.ldc, g.m, 0.0f);
+    for (size_t i = r0; i < r1; ++i) {
+      float* c = g.c + i * g.ldc;
+      for (size_t j = 0; j < g.m; ++j) c[j] = g.add_to_c ? c[j] + 0.0f : 0.0f;
+    }
     return;
   }
   constexpr size_t W = L::kWidth;
@@ -384,12 +400,53 @@ void Tiled(const Gemm& g, size_t n) {
   });
 }
 
-// B^T, for MatMulTransB's pass through the tiled kernel. Strips of 8
-// rows of B keep the lines read and the line written cache-resident.
+#if defined(CONFCARD_SIMD_AVX512) || defined(CONFCARD_SIMD_AVX2)
+// The 8 x 8 block at s (row stride lds) transposed into d (row stride
+// ldd): eight row loads, three rounds of lane shuffles, eight row
+// stores. Shuffles move bits and round nothing, so every value, NaN
+// payloads included, arrives unchanged.
+void Transpose8x8(const float* s, size_t lds, float* d, size_t ldd) {
+  __m256 r[8], t[8];
+  for (size_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(s + i * lds);
+  for (size_t i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  for (size_t i = 0; i < 8; i += 4) {
+    r[i] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(d + i * ldd, _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+    _mm256_storeu_ps(d + (i + 4) * ldd,
+                     _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+  }
+}
+#endif
+
+// B^T, for MatMulTransB's pass through the tiled kernel. On AVX2 and
+// AVX-512 builds, whole 8 x 8 blocks go through vector registers; the
+// rest runs in strips of 8 rows of B, which keep the lines read and the
+// line written cache-resident.
 Tensor Transpose(const Tensor& b) {
   const size_t rows = b.rows(), cols = b.cols();
   Tensor t = Tensor::Uninitialized(cols, rows);
-  for (size_t j0 = 0; j0 < rows; j0 += 8) {
+  size_t j0 = 0;
+#if defined(CONFCARD_SIMD_AVX512) || defined(CONFCARD_SIMD_AVX2)
+  for (; j0 + 8 <= rows; j0 += 8) {
+    size_t p = 0;
+    for (; p + 8 <= cols; p += 8) {
+      Transpose8x8(b.RowPtr(j0) + p, cols, t.RowPtr(p) + j0, rows);
+    }
+    for (; p < cols; ++p) {
+      float* trow = t.RowPtr(p);
+      for (size_t j = j0; j < j0 + 8; ++j) trow[j] = b.At(j, p);
+    }
+  }
+#endif
+  for (; j0 < rows; j0 += 8) {
     const size_t j1 = std::min(rows, j0 + 8);
     for (size_t p = 0; p < cols; ++p) {
       float* trow = t.RowPtr(p);
@@ -408,7 +465,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
       Tiled<simd::NativeLanes>({a.data().data(), k, 1, k, b.data().data(), m,
-                                c.data().data(), m, m},
+                                c.data().data(), m, m, false},
                                n);
       return c;
     }
@@ -427,7 +484,7 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
     if (SimdEnabled()) {
       Tiled<simd::NativeLanes, /*kRowsOfA=*/false>(
           {a.data().data(), 1, n, k, b.data().data(), m, c.data().data(), m,
-           m},
+           m, false},
           n);
       return c;
     }
@@ -438,6 +495,22 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   return c;
 }
 
+void AddMatMulTransA(const Tensor& a, const Tensor& b, Tensor* c) {
+  CONFCARD_DCHECK(a.rows() == b.rows());
+  CONFCARD_DCHECK(c->rows() == a.cols() && c->cols() == b.cols());
+  const size_t k = a.rows(), n = a.cols(), m = b.cols();
+  if constexpr (simd::kHaveNativeLanes) {
+    if (SimdEnabled()) {
+      Tiled<simd::NativeLanes, /*kRowsOfA=*/false>(
+          {a.data().data(), 1, n, k, b.data().data(), m, c->data().data(), m,
+           m, true},
+          n);
+      return;
+    }
+  }
+  c->Add(MatMulTransA(a, b));
+}
+
 Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   CONFCARD_DCHECK(a.cols() == b.cols());
   const size_t n = a.rows(), k = a.cols(), m = b.rows();
@@ -446,7 +519,7 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
     if (SimdEnabled()) {
       const Tensor bt = Transpose(b);
       Tiled<simd::NativeLanes>({a.data().data(), k, 1, k, bt.data().data(), m,
-                                c.data().data(), m, m},
+                                c.data().data(), m, m, false},
                                n);
       return c;
     }
@@ -463,7 +536,7 @@ Tensor MatMulCols(const Tensor& a, const Tensor& b, size_t c0, size_t c1) {
   const size_t n = a.rows(), k = a.cols(), m = c1 - c0;
   Tensor c = Tensor::Uninitialized(n, m);
   const Gemm g{a.data().data(), k, 1, k, b.data().data() + c0, b.cols(),
-               c.data().data(), m, m};
+               c.data().data(), m, m, false};
   if constexpr (simd::kHaveNativeLanes) {
     if (SimdEnabled()) {
       Tiled<simd::NativeLanes>(g, n);

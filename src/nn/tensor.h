@@ -114,6 +114,10 @@ class Tensor {
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// C = A^T * B. Shapes: (k,n) x (k,m) -> (n,m).
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);
+/// C += A^T * B, bit for bit C.Add(MatMulTransA(a, b)). The vector
+/// path skips the temporary: its tiles add each sum to C as they store
+/// it. Shapes: (k,n) x (k,m) into (n,m).
+void AddMatMulTransA(const Tensor& a, const Tensor& b, Tensor* c);
 /// C = A * B^T. Shapes: (n,k) x (m,k) -> (n,m).
 Tensor MatMulTransB(const Tensor& a, const Tensor& b);
 /// Columns [c0, c1) of MatMul(a, b), bit for bit, computed without the

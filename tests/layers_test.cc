@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "nn/arena.h"
 #include "nn/mlp.h"
+#include "nn/simd.h"
 
 namespace confcard {
 namespace nn {
@@ -237,6 +239,44 @@ TEST(MlpTest, ShapeAndGradientDescentDirection) {
   }
   double after = Objective(mlp, in, weights);
   EXPECT_LT(after, before);
+}
+
+// Tensor allocations of the second of two identical calls of `step`,
+// counted as this thread's arena hits plus misses: the first call gives
+// every kept tensor its shape.
+uint64_t SteadyStateAllocations(const std::function<void()>& step) {
+  step();
+  const ArenaStats before = ArenaThreadStats();
+  step();
+  const ArenaStats after = ArenaThreadStats();
+  return after.hits + after.misses - before.hits - before.misses;
+}
+
+TEST(MlpTest, TrainingStepAllocatesOnlyTheProducts) {
+  // MSCN's predicate module on a batch of 64 queries with 2.5
+  // predicates each: 160 rows through 15 -> 64 -> 64.
+  Rng rng(13);
+  Mlp mlp({15, 64, 64}, rng);
+  const Tensor in = Tensor::Randn(160, 15, 1.0f, rng);
+  const Tensor grad = Tensor::Randn(160, 64, 1.0f, rng);
+  // Forward copies the input once, for the first layer to keep, and
+  // allocates each layer's output; the backward pass allocates each
+  // input gradient. On top, the vector kernels allocate a kept-term
+  // list per product and B^T per MatMulTransB, and add the weight
+  // gradients into the parameters in place; the scalar kernels
+  // allocate each weight gradient's product. Nothing else: no layer
+  // copies its input or a gradient.
+  const bool vector = SimdEnabled();
+  EXPECT_LE(SteadyStateAllocations([&] {
+              mlp.Forward(in);
+              mlp.BackwardParams(grad);
+            }),
+            vector ? 10u : 6u);
+  EXPECT_LE(SteadyStateAllocations([&] {
+              mlp.Forward(in);
+              mlp.Backward(grad);
+            }),
+            vector ? 13u : 7u);
 }
 
 // BackwardParams against Backward on two copies of the same layer: the

@@ -98,6 +98,19 @@ TEST(SimdKernelTest, MatMulBitIdenticalAcrossShapes) {
   });
 }
 
+// A gradient accumulator for AddMatMulTransA to add into: random
+// values, with +0.0, -0.0, NaN and subnormals strewn among them.
+Tensor SpecialAccumulator(size_t rows, size_t cols, Rng& rng) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f, -0.0f, std::nanf(""), denorm, -denorm,
+                            -3e-39f};
+  Tensor t = RandomTensor(rows, cols, 0.0, rng);
+  for (float& v : t.data()) {
+    if (rng.NextDouble() < 0.5) v = specials[rng.NextUint64(6)];
+  }
+  return t;
+}
+
 TEST(SimdKernelTest, MatMulTransABitIdenticalAcrossShapes) {
   SimdRestorer restore;
   Rng rng(2345);
@@ -110,13 +123,25 @@ TEST(SimdKernelTest, MatMulTransABitIdenticalAcrossShapes) {
     SetSimdEnabled(true);
     Tensor got = MatMulTransA(a, b);
     ExpectBitIdentical(ref, got, "MatMulTransA");
+    // The C += store: C.Add(MatMulTransA(a, b)) on the scalar kernel,
+    // against the tiled kernel adding into C on either lane set.
+    const Tensor c = SpecialAccumulator(n, m, rng);
+    Tensor want = c;
+    want.Add(ref);
+    for (bool simd : {false, true}) {
+      SetSimdEnabled(simd);
+      Tensor sum = c;
+      AddMatMulTransA(a, b, &sum);
+      ExpectBitIdentical(want, sum, simd ? "AddMatMulTransA simd"
+                                         : "AddMatMulTransA scalar");
+    }
   });
 }
 
 TEST(SimdKernelTest, MatMulTransBBitIdenticalAcrossShapes) {
   SimdRestorer restore;
   Rng rng(3456);
-  SweepShapes([&rng](size_t n, size_t k, size_t m) {
+  auto check = [&rng](size_t n, size_t k, size_t m) {
     // (n,k) x (m,k) -> (n,m): the vector path runs the tiled kernel
     // over B transposed, so m is the j-lane dimension and k the
     // kept-term dimension.
@@ -127,7 +152,16 @@ TEST(SimdKernelTest, MatMulTransBBitIdenticalAcrossShapes) {
     SetSimdEnabled(true);
     Tensor got = MatMulTransB(a, b);
     ExpectBitIdentical(ref, got, "MatMulTransB");
-  });
+  };
+  SweepShapes(check);
+  // B shapes (m, k) off the 8 x 8 transpose blocks: all tail, tails on
+  // both sides of whole blocks, and the model shapes around them.
+  const std::pair<size_t, size_t> b_shapes[] = {
+      {1, 1}, {7, 9}, {17, 33}, {96, 288}, {301, 64}};
+  for (const auto& [m, k] : b_shapes) {
+    SCOPED_TRACE(::testing::Message() << "B " << m << " x " << k);
+    for (size_t n : {1, 5, 64}) check(n, k, m);
+  }
 }
 
 // Rows of one-hot blocks, Naru's input layout: one 1.0f in each
@@ -165,7 +199,18 @@ Tensor Transposed(const Tensor& t) {
 // where a strict, nonempty subset is zero at every term, and values
 // the skip must not mistake for zero or for nonzero: NaN (in every
 // eighth row, so other rows stay finite), +0.0, -0.0 and subnormals.
-enum class Fill { kOneHot, kHalfZero, kBitmap, kPartialBlocks, kSpecial };
+// kLaneGroups lays the terms out in groups of the lane width, W, for
+// the scan's whole-group step: a group with every term nonzero, then
+// one whose term z is zero in every row, then one whose only nonzero
+// value is a NaN, over and over.
+enum class Fill {
+  kOneHot,
+  kHalfZero,
+  kBitmap,
+  kPartialBlocks,
+  kSpecial,
+  kLaneGroups
+};
 
 Tensor Operand(Fill fill, size_t rows, size_t k, Rng& rng) {
   switch (fill) {
@@ -202,6 +247,23 @@ Tensor Operand(Fill fill, size_t rows, size_t k, Rng& rng) {
             t.At(r, p) = std::nanf("");
           } else if (u < 0.75) {
             t.At(r, p) = specials[rng.NextUint64(8)];
+          }
+        }
+      }
+      return t;
+    }
+    case Fill::kLaneGroups: {
+      const size_t w = SimdLaneWidth();
+      Tensor t = RandomTensor(rows, k, 0.0, rng);
+      for (size_t p = 0; p < k; ++p) {
+        const size_t group = p / w, lane = p % w;
+        const size_t z = group % w;  // the group's marked lane
+        for (size_t r = 0; r < rows; ++r) {
+          float& v = t.At(r, p);
+          if (v == 0.0f) v = 1.0f;  // the full group stays full
+          if (group % 3 == 1 && lane == z) v = 0.0f;
+          if (group % 3 == 2) {
+            v = lane == z && r % 4 == 1 ? std::nanf("") : 0.0f;
           }
         }
       }
@@ -256,8 +318,9 @@ TEST(SimdKernelTest, TiledKernelsBitIdenticalAtModelShapes) {
   }
   // Every term count and operand fill, at one width per tile kind.
   const size_t ks[] = {1, 15, 16, 17, 31, 32, 33, 58, 66, 301};
-  const Fill fills[] = {Fill::kOneHot, Fill::kHalfZero, Fill::kBitmap,
-                        Fill::kPartialBlocks, Fill::kSpecial};
+  const Fill fills[] = {Fill::kOneHot,  Fill::kHalfZero,
+                        Fill::kBitmap,  Fill::kPartialBlocks,
+                        Fill::kSpecial, Fill::kLaneGroups};
   for (size_t rows : row_counts) {
     for (size_t k : ks) {
       for (Fill fill : fills) {
