@@ -26,8 +26,9 @@ void AddBiasRows(Tensor* out, const Parameter& bias) {
   }
 }
 
-// out = in * W + b, shared by the Forward and Apply paths of the dense
-// layers (the weight is identical; only activation caching differs).
+// out = in * W + b, shared by the Apply paths of the dense layers and
+// MaskedDense::Forward (the weight is identical; only activation caching
+// differs).
 Tensor LinearForward(const Tensor& input, const Parameter& weight,
                      const Parameter& bias) {
   Tensor out = MatMul(input, weight.value);
@@ -45,9 +46,7 @@ Dense::Dense(size_t in_dim, size_t out_dim, Rng& rng) {
 }
 
 Tensor Dense::Forward(const Tensor& input) {
-  CONFCARD_DCHECK(input.cols() == weight_.value.rows());
-  input_ = input;
-  return LinearForward(input, weight_, bias_);
+  return ForwardActivated(input, /*relu=*/false);
 }
 
 Tensor Dense::Apply(const Tensor& input) const {

@@ -131,14 +131,6 @@ struct Avx512Lanes {
   static uint32_t NonzeroMask(Vec v) {
     return _mm512_cmp_ps_mask(v, Zero(), _CMP_NEQ_UQ);
   }
-  // Stores the kWidth indices first, first + 1, ... at p (the kept-term
-  // scan's whole-group step).
-  static void StoreIota(uint32_t* p, uint32_t first) {
-    const __m512i iota = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
-                                           11, 12, 13, 14, 15);
-    _mm512_storeu_si512(
-        p, _mm512_add_epi32(_mm512_set1_epi32(static_cast<int>(first)), iota));
-  }
   static constexpr __mmask16 kAll = 0xFFFF;
 };
 
@@ -167,12 +159,6 @@ struct Avx2Lanes {
     return static_cast<uint32_t>(
         _mm256_movemask_ps(_mm256_cmp_ps(v, Zero(), _CMP_NEQ_UQ)));
   }
-  static void StoreIota(uint32_t* p, uint32_t first) {
-    const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(p),
-        _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(first)), iota));
-  }
 };
 
 using NativeLanes = Avx2Lanes;
@@ -197,11 +183,6 @@ struct Sse2Lanes {
   // cmpneqps is the unordered not-equal: true for NaN lanes.
   static uint32_t NonzeroMask(Vec v) {
     return static_cast<uint32_t>(_mm_movemask_ps(_mm_cmpneq_ps(v, Zero())));
-  }
-  static void StoreIota(uint32_t* p, uint32_t first) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p),
-                     _mm_add_epi32(_mm_set1_epi32(static_cast<int>(first)),
-                                   _mm_setr_epi32(0, 1, 2, 3)));
   }
 };
 
@@ -230,10 +211,6 @@ struct NeonLanes {
   static uint32_t NonzeroMask(Vec v) {
     const uint32x4_t bits = {1, 2, 4, 8};
     return vaddvq_u32(vbicq_u32(bits, vceqq_f32(v, Zero())));
-  }
-  static void StoreIota(uint32_t* p, uint32_t first) {
-    const uint32x4_t iota = {0, 1, 2, 3};
-    vst1q_u32(p, vaddq_u32(vdupq_n_u32(first), iota));
   }
 };
 

@@ -241,11 +241,9 @@ struct Gemm {
 // The terms of the R-row block at row i that survive the zero skip, in
 // ascending order into pidx; returns their number. A term is dropped
 // only when all R values A'(i + r, p) are 0.0f, so a NaN keeps it.
-// Along rows of A, W terms at a time OR the rows' nonzero lane masks; a
-// group whose mask is full (every term kept, as in dense activations)
-// is written as W indices at once. The other terms (all of a column
-// block's, and the last k mod W of a row block's) are tested one by
-// one, so no load leaves a row's [0, k).
+// Along rows of A, W terms at a time OR the rows' nonzero lane masks;
+// the other terms (all of a column block's, and the last k mod W of a
+// row block's) are tested one by one, so no load leaves a row's [0, k).
 template <typename L, size_t R, bool kRowsOfA>
 size_t KeptTerms(const Gemm& g, size_t i, uint32_t* pidx) {
   constexpr size_t W = L::kWidth;
@@ -253,16 +251,10 @@ size_t KeptTerms(const Gemm& g, size_t i, uint32_t* pidx) {
   const size_t a_term = kRowsOfA ? 1 : g.a_term;
   size_t np = 0, p = 0;
   if constexpr (W > 1 && kRowsOfA) {
-    constexpr uint32_t kAllLanes = (uint32_t{1} << W) - 1;
     for (; p + W <= g.k; p += W) {
       uint32_t mask = 0;
       for (size_t r = 0; r < R; ++r) {
         mask |= L::NonzeroMask(L::Load(g.a + (i + r) * a_row + p));
-      }
-      if (mask == kAllLanes) {
-        L::StoreIota(pidx + np, static_cast<uint32_t>(p));
-        np += W;
-        continue;
       }
       for (; mask != 0; mask &= mask - 1) {
         pidx[np++] = static_cast<uint32_t>(p + std::countr_zero(mask));

@@ -199,10 +199,10 @@ Tensor Transposed(const Tensor& t) {
 // where a strict, nonempty subset is zero at every term, and values
 // the skip must not mistake for zero or for nonzero: NaN (in every
 // eighth row, so other rows stay finite), +0.0, -0.0 and subnormals.
-// kLaneGroups lays the terms out in groups of the lane width, W, for
-// the scan's whole-group step: a group with every term nonzero, then
-// one whose term z is zero in every row, then one whose only nonzero
-// value is a NaN, over and over.
+// kLaneGroups lays the terms out in groups of the lane width, W, the
+// span of one ORed nonzero mask in the scan: a group with every term
+// nonzero, then one whose term z is zero in every row, then one whose
+// only nonzero value is a NaN, over and over.
 enum class Fill {
   kOneHot,
   kHalfZero,
