@@ -23,16 +23,24 @@
 namespace confcard {
 namespace {
 
-// Each side is warmed up once (untimed) and then timed over kReps
-// repetitions, keeping the fastest per side. The two sides run
-// interleaved, rep by rep: scheduler noise on shared hosts arrives in
-// bursts longer than one rep, so interleaving exposes both sides to the
-// same quiet windows instead of letting a burst land entirely on one.
+// Each side is warmed up once (untimed) and then timed rep by rep,
+// keeping the fastest rep per side. The two sides run interleaved:
+// scheduler noise on shared hosts arrives in bursts longer than one rep,
+// so interleaving exposes both sides to the same quiet windows instead
+// of letting a burst land entirely on one. The reps go on until each
+// side has run kReps times and spent kMinTimedMillis in timed reps: a
+// short side (LW-NN's batch of one takes under 1 ms) would otherwise
+// finish all its reps inside one slow spell of the host, and 250 ms
+// still let one of three full runs read MSCN's batch of one 40% slow.
+// The minimum scales with CONFCARD_SCALE, as the workload does, so the
+// perf-smoke run stays short.
 constexpr int kReps = 7;
+constexpr double kMinTimedMillis = 1000.0;
 
 struct Comparison {
   double baseline_millis = 0.0;
   double optimized_millis = 0.0;
+  int reps = 0;  // timed reps per side
   bool identical = true;
 
   double speedup() const { return baseline_millis / optimized_millis; }
@@ -42,19 +50,26 @@ template <typename BaseFn, typename OptFn>
 void TimeInterleaved(const BaseFn& base, const OptFn& opt, Comparison* cmp) {
   base();  // warmup, untimed
   opt();
-  for (int rep = 0; rep < kReps; ++rep) {
+  const double min_millis = kMinTimedMillis * bench::BenchScale();
+  double base_total = 0.0;
+  double opt_total = 0.0;
+  while (cmp->reps < kReps || base_total < min_millis ||
+         opt_total < min_millis) {
     Stopwatch base_watch;
     base();
     const double base_ms = base_watch.ElapsedMillis();
     Stopwatch opt_watch;
     opt();
     const double opt_ms = opt_watch.ElapsedMillis();
-    if (rep == 0 || base_ms < cmp->baseline_millis) {
+    if (cmp->reps == 0 || base_ms < cmp->baseline_millis) {
       cmp->baseline_millis = base_ms;
     }
-    if (rep == 0 || opt_ms < cmp->optimized_millis) {
+    if (cmp->reps == 0 || opt_ms < cmp->optimized_millis) {
       cmp->optimized_millis = opt_ms;
     }
+    base_total += base_ms;
+    opt_total += opt_ms;
+    ++cmp->reps;
   }
 }
 
@@ -191,6 +206,7 @@ void WriteComparison(obs::JsonWriter* w, const char* name,
     w->Key("optimized_us_per_query").Number(cmp.optimized_millis * to_us);
   }
   w->Key("speedup").Number(cmp.speedup());
+  w->Key("reps").Int(static_cast<uint64_t>(cmp.reps));
   w->Key("bit_identical").Bool(cmp.identical);
   w->EndObject();
 }

@@ -18,20 +18,11 @@
 namespace confcard {
 namespace {
 
-// Degree assignment for MADE masks. Input/output units of column i carry
-// degree i+1; hidden units cycle through 1..D-1 so every conditional has
-// capacity. Connection rules: input->hidden if deg_h >= deg_in is NOT
-// autoregressive for inputs (we need deg_h >= deg_in with inputs allowed
-// to feed only strictly-later outputs); the standard MADE rules are
-//   input->hidden:   deg_h >= deg_in
-//   hidden->hidden:  deg_h2 >= deg_h1
-//   hidden->output:  deg_out > deg_h
-// which guarantee output block i sees only input blocks < i.
+// The degrees of one hidden layer's units (see BuildMade).
 std::vector<int> HiddenDegrees(size_t width, int num_cols, Rng& rng) {
   std::vector<int> degrees(width);
   if (num_cols <= 1) {
-    // Single column: unconditional marginal; no hidden connectivity
-    // needed, but keep degrees valid.
+    // Single column: its logits see no input, so any valid degree does.
     for (auto& d : degrees) d = 1;
     return degrees;
   }
@@ -42,6 +33,8 @@ std::vector<int> HiddenDegrees(size_t width, int num_cols, Rng& rng) {
   return degrees;
 }
 
+// 1.0f where a weight from a unit of in_degrees[i] into one of
+// out_degrees[j] is kept: out >= in, or out > in when `strict`.
 nn::Tensor MakeMask(const std::vector<int>& in_degrees,
                     const std::vector<int>& out_degrees, bool strict) {
   nn::Tensor mask(in_degrees.size(), out_degrees.size());
@@ -56,6 +49,47 @@ nn::Tensor MakeMask(const std::vector<int>& in_degrees,
 }
 
 }  // namespace
+
+nn::Mlp BuildMade(const std::vector<size_t>& block_widths, size_t hidden,
+                  int hidden_layers, Rng& rng,
+                  std::vector<nn::Tensor>* masks) {
+  const int num_cols = static_cast<int>(block_widths.size());
+  std::vector<int> io_degrees;
+  for (int c = 0; c < num_cols; ++c) {
+    io_degrees.insert(io_degrees.end(), block_widths[static_cast<size_t>(c)],
+                      c + 1);
+  }
+  const int depth = std::max(hidden_layers, 0);
+  masks->clear();
+  std::vector<nn::Dense> layers;
+  std::vector<int> prev_degrees = io_degrees;
+  for (int l = 0; l <= depth; ++l) {
+    const bool output = l == depth;
+    std::vector<int> degrees =
+        output ? io_degrees : HiddenDegrees(hidden, num_cols, rng);
+    nn::Tensor mask = MakeMask(prev_degrees, degrees, /*strict=*/output);
+    layers.emplace_back(prev_degrees.size(), degrees.size(), rng);
+    nn::Tensor& weight = layers.back().weight().value;
+    for (size_t i = 0; i < weight.size(); ++i) {
+      weight.data()[i] *= mask.data()[i];
+    }
+    masks->push_back(std::move(mask));
+    prev_degrees = std::move(degrees);
+  }
+  return nn::Mlp(std::move(layers));
+}
+
+void ZeroMaskedGradients(const std::vector<nn::Tensor>& masks,
+                         const std::vector<nn::Parameter*>& params) {
+  CONFCARD_DCHECK(params.size() == 2 * masks.size());
+  for (size_t l = 0; l < masks.size(); ++l) {
+    const float* mask = masks[l].data().data();
+    float* grad = params[2 * l]->grad.data().data();
+    for (size_t i = 0; i < masks[l].size(); ++i) {
+      if (mask[i] == 0.0f) grad[i] = 0.0f;
+    }
+  }
+}
 
 namespace {
 // 'CNR1' — confcard naru archive.
@@ -113,8 +147,9 @@ Result<NaruEstimator> NaruEstimator::LoadFromFile(const Table& table,
     return Status::InvalidArgument(
         "naru archive discretization does not match this table");
   }
-  // Rebuild masks exactly as Train did: the mask construction consumes
-  // the same Rng stream given the same seed and shapes.
+  // Rebuild the network as Train did (the same Rng stream given the same
+  // seed and shapes), then overwrite its weights; the masks are only
+  // needed for training.
   Rng rng(cfg.seed);
   est.BuildNetwork(rng);
   CONFCARD_RETURN_NOT_OK(nn::DeserializeParameters(*est.net_, &r));
@@ -124,38 +159,17 @@ Result<NaruEstimator> NaruEstimator::LoadFromFile(const Table& table,
   return est;
 }
 
-void NaruEstimator::BuildNetwork(Rng& rng) {
-  const size_t num_cols = binner_->num_columns();
-  const size_t total = binner_->TotalBins();
-
-  block_offsets_.clear();
-  block_offsets_.push_back(0);
-  std::vector<int> io_degrees(total);
-  size_t pos = 0;
-  for (size_t c = 0; c < num_cols; ++c) {
-    const size_t width = static_cast<size_t>(binner_->column(c).num_bins());
-    for (size_t k = 0; k < width; ++k) {
-      io_degrees[pos + k] = static_cast<int>(c) + 1;
-    }
-    pos += width;
-    block_offsets_.push_back(pos);
+std::vector<nn::Tensor> NaruEstimator::BuildNetwork(Rng& rng) {
+  std::vector<size_t> widths;
+  block_offsets_.assign(1, 0);
+  for (size_t c = 0; c < binner_->num_columns(); ++c) {
+    widths.push_back(static_cast<size_t>(binner_->column(c).num_bins()));
+    block_offsets_.push_back(block_offsets_.back() + widths.back());
   }
-
-  net_ = std::make_unique<nn::Sequential>();
-  std::vector<int> prev_degrees = io_degrees;
-  for (int l = 0; l < config_.hidden_layers; ++l) {
-    std::vector<int> h_degrees =
-        HiddenDegrees(config_.hidden, static_cast<int>(num_cols), rng);
-    nn::Tensor mask = MakeMask(prev_degrees, h_degrees, /*strict=*/false);
-    net_->Append(std::make_unique<nn::MaskedDense>(
-        prev_degrees.size(), config_.hidden, std::move(mask), rng));
-    net_->Append(std::make_unique<nn::Relu>());
-    prev_degrees = std::move(h_degrees);
-  }
-  // Output layer: strict inequality enforces autoregressive ordering.
-  nn::Tensor out_mask = MakeMask(prev_degrees, io_degrees, /*strict=*/true);
-  net_->Append(std::make_unique<nn::MaskedDense>(
-      prev_degrees.size(), total, std::move(out_mask), rng));
+  std::vector<nn::Tensor> masks;
+  net_ = std::make_unique<nn::Mlp>(BuildMade(
+      widths, config_.hidden, config_.hidden_layers, rng, &masks));
+  return masks;
 }
 
 Status NaruEstimator::Train(const Table& table) {
@@ -174,7 +188,7 @@ Status NaruEstimator::Train(const Table& table) {
   num_rows_ = static_cast<double>(table.num_rows());
   binner_ = std::make_unique<TableBinner>(table, config_.numeric_bins);
   Rng rng(config_.seed);
-  BuildNetwork(rng);
+  const std::vector<nn::Tensor> masks = BuildNetwork(rng);
 
   // Subsample training rows if needed.
   std::vector<uint32_t> rows(table.num_rows());
@@ -192,7 +206,8 @@ Status NaruEstimator::Train(const Table& table) {
   }
 
   const size_t total = binner_->TotalBins();
-  nn::Adam adam(net_->Parameters(), config_.lr);
+  const std::vector<nn::Parameter*> params = net_->Parameters();
+  nn::Adam adam(params, config_.lr);
   std::vector<size_t> order(rows.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   const size_t bs = std::max<size_t>(1, config_.batch_size);
@@ -217,11 +232,12 @@ Status NaruEstimator::Train(const Table& table) {
           row[block_offsets_[c] + static_cast<size_t>(bins[c])] = 1.0f;
         }
       }
-      nn::Tensor logits = net_->Forward(input);
+      nn::Tensor logits = net_->Forward(std::move(input));
       nn::Tensor grad;
       loss_sum +=
           nn::BlockSoftmaxCrossEntropy(logits, block_offsets_, targets, &grad);
       net_->BackwardParams(grad);
+      ZeroMaskedGradients(masks, params);
       adam.Step();
       ++num_batches;
     }
@@ -238,11 +254,6 @@ double NaruEstimator::ProgressiveSample(const PreparedQuery& query) const {
   const size_t S = std::max<size_t>(1, config_.num_samples);
   obs::Metrics().GetCounter("ce.naru.progressive_samples").Increment(S);
 
-  const size_t num_layers = net_->num_layers();
-  const auto* last =
-      dynamic_cast<const nn::MaskedDense*>(&net_->layer(num_layers - 1));
-  CONFCARD_CHECK_MSG(last != nullptr, "naru: unexpected network layout");
-
   // Row s of `input` is sample path s: the one-hot blocks of the columns
   // it has drawn so far, as in a training batch.
   nn::Tensor input(S, binner_->TotalBins());
@@ -255,16 +266,7 @@ double NaruEstimator::ProgressiveSample(const PreparedQuery& query) const {
     const size_t width = block_offsets_[static_cast<size_t>(c) + 1] - lo_off;
 
     // The hidden layers on every path, then only column c's logits.
-    nn::Tensor logits;
-    if (num_layers == 1) {
-      logits = last->ApplyCols(input, lo_off, lo_off + width);
-    } else {
-      nn::Tensor x = net_->layer(0).Apply(input);
-      for (size_t l = 1; l + 1 < num_layers; ++l) {
-        x = net_->layer(l).Apply(std::move(x));
-      }
-      logits = last->ApplyCols(x, lo_off, lo_off + width);
-    }
+    const nn::Tensor logits = net_->ApplyCols(input, lo_off, lo_off + width);
 
     probs.resize(width);
     const auto [blo, bhi] = query.ranges[static_cast<size_t>(c)];

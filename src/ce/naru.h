@@ -12,7 +12,7 @@
 
 #include "ce/binner.h"
 #include "ce/estimator.h"
-#include "nn/layers.h"
+#include "nn/mlp.h"
 
 namespace confcard {
 
@@ -33,6 +33,30 @@ struct NaruConfig {
   size_t num_samples = 32;
   uint64_t seed = 97;
 };
+
+/// Naru's MADE network over one-hot column blocks of `block_widths`: an
+/// nn::Mlp of `hidden_layers` ReLU layers of `hidden` units and a linear
+/// output layer with one logit per input unit. Every unit has a degree:
+/// column c's input units and logits c + 1, each hidden unit one drawn
+/// uniformly from 1..C-1 for C columns (1 when C == 1). A weight into a
+/// hidden unit is kept when that unit's degree is >= its source's; a
+/// weight into a logit when the logit's degree is > its source's. So
+/// column c's logits see only the inputs of columns < c.
+///
+/// Draws from `rng` layer by layer: the layer's hidden degrees, then its
+/// He init. Each weight is multiplied by its mask once; `masks`
+/// receives the masks, one (in, out) tensor per layer, 1.0f where the
+/// weight is kept and 0.0f where it is cut.
+nn::Mlp BuildMade(const std::vector<size_t>& block_widths, size_t hidden,
+                  int hidden_layers, Rng& rng,
+                  std::vector<nn::Tensor>* masks);
+
+/// The MADE's training step after each backward: writes +0.0f into
+/// every masked weight-gradient entry, so the optimizer never moves a
+/// masked weight. `params` is the network's Parameters() (each layer's
+/// weight, then its bias) and `masks` BuildMade's.
+void ZeroMaskedGradients(const std::vector<nn::Tensor>& masks,
+                         const std::vector<nn::Parameter*>& params);
 
 /// The Naru estimator.
 class NaruEstimator : public DataDrivenEstimator {
@@ -68,8 +92,9 @@ class NaruEstimator : public DataDrivenEstimator {
     bool empty_range = false;                 // some column's range is empty
   };
 
-  /// Builds the MADE masks and network for the current binner.
-  void BuildNetwork(Rng& rng);
+  /// Builds the MADE network for the current binner and returns its
+  /// masks (BuildMade).
+  std::vector<nn::Tensor> BuildNetwork(Rng& rng);
   /// Intersects the query's predicates into per-column bin ranges.
   PreparedQuery Prepare(const Query& query) const;
   /// Progressive sampling of one query with a constraint: its
@@ -87,9 +112,10 @@ class NaruEstimator : public DataDrivenEstimator {
   double num_rows_ = 0.0;
   std::unique_ptr<TableBinner> binner_;
   std::vector<size_t> block_offsets_;  // per-column logit block offsets
-  // Inference goes through the cache-free Apply path, so const methods
-  // (and concurrent per-query evaluation) never touch training scratch.
-  std::unique_ptr<nn::Sequential> net_;
+  // Inference goes through the cache-free ApplyCols path, so const
+  // methods (and concurrent per-query evaluation) never touch training
+  // scratch.
+  std::unique_ptr<nn::Mlp> net_;
 };
 
 }  // namespace confcard

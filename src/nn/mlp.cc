@@ -8,8 +8,8 @@ namespace confcard {
 namespace nn {
 namespace {
 
-// Relu::Backward in place on `grad`, masked by the ReLU's output rather
-// than its input: relu(v) <= 0 exactly where v <= 0, so the same
+// The ReLU's backward in place on `grad`, masked by the ReLU's output
+// rather than its input: relu(v) <= 0 exactly where v <= 0, so the same
 // entries become 0.0f.
 void ZeroWhereInactive(const Tensor& activation, Tensor* grad) {
   CONFCARD_DCHECK(grad->size() == activation.size());
@@ -46,6 +46,13 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng& rng) {
   }
 }
 
+Mlp::Mlp(std::vector<Dense> layers) : dense_(std::move(layers)) {
+  CONFCARD_CHECK(!dense_.empty());
+  for (size_t i = 1; i < dense_.size(); ++i) {
+    CONFCARD_CHECK(dense_[i].in_dim() == dense_[i - 1].out_dim());
+  }
+}
+
 Tensor Mlp::Forward(const Tensor& input) { return Forward(Tensor(input)); }
 
 Tensor Mlp::Forward(Tensor&& input) {
@@ -57,10 +64,10 @@ Tensor Mlp::Forward(Tensor&& input) {
 }
 
 Tensor Mlp::Apply(const Tensor& input) const {
-  const Relu relu;
   Tensor x = dense_.front().Apply(input);
   for (size_t i = 1; i < dense_.size(); ++i) {
-    x = dense_[i].Apply(relu.Apply(std::move(x)));
+    for (float& v : x.data()) v = v < 0.0f ? 0.0f : v;
+    x = dense_[i].Apply(x);
   }
   return x;
 }
@@ -71,6 +78,17 @@ Tensor Mlp::ApplyFused(const Tensor& input) const {
     x = dense_[i].ApplyActivated(x, i + 1 < dense_.size());
   }
   return x;
+}
+
+Tensor Mlp::ApplyCols(const Tensor& input, size_t col_begin,
+                      size_t col_end) const {
+  const Dense& last = dense_.back();
+  if (dense_.size() == 1) return last.ApplyCols(input, col_begin, col_end);
+  Tensor x = dense_.front().ApplyActivated(input, /*relu=*/true);
+  for (size_t i = 1; i + 1 < dense_.size(); ++i) {
+    x = dense_[i].ApplyActivated(x, /*relu=*/true);
+  }
+  return last.ApplyCols(x, col_begin, col_end);
 }
 
 Tensor Mlp::Backward(const Tensor& grad_output) {

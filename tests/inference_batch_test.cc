@@ -5,7 +5,7 @@
 // harness at 1 and 4 threads — any change to a forward shows up here
 // first; (2) batches that mix trivial (no-predicate, empty-range)
 // queries with Naru engine queries against batches of one; (3) the
-// column-restricted MaskedDense forward against Apply.
+// column-restricted forward of a masked Dense layer against Apply.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,7 +297,12 @@ TEST(InferenceBatchTest, MaskedDenseApplyColsMatchesApplyOnOneHotRows) {
   for (size_t i = 0; i < mask.size(); ++i) {
     mask.data()[i] = rng.NextDouble() < 0.7 ? 1.0f : 0.0f;
   }
-  nn::MaskedDense layer(in_dim, out_dim, std::move(mask), rng);
+  // A weight masked as Naru's MADE layers are (BuildMade).
+  nn::Dense layer(in_dim, out_dim, rng);
+  nn::Tensor& weight = layer.weight().value;
+  for (size_t i = 0; i < weight.size(); ++i) {
+    weight.data()[i] *= mask.data()[i];
+  }
 
   for (size_t rows : {1, 2, 3, 4, 5, 9, 64}) {
     SCOPED_TRACE(::testing::Message() << "rows " << rows);

@@ -103,119 +103,6 @@ TEST(DenseTest, GradientsMatchFiniteDifferences) {
   CheckInputGradients(d, in, 5, 4);
 }
 
-TEST(ReluTest, ForwardClampsNegatives) {
-  Relu r;
-  Tensor in(1, 3);
-  in.At(0, 0) = -1.0f;
-  in.At(0, 1) = 0.0f;
-  in.At(0, 2) = 2.0f;
-  Tensor out = r.Forward(in);
-  EXPECT_FLOAT_EQ(out.At(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(out.At(0, 1), 0.0f);
-  EXPECT_FLOAT_EQ(out.At(0, 2), 2.0f);
-}
-
-TEST(ReluTest, BackwardMasksGradient) {
-  Relu r;
-  Tensor in(1, 2);
-  in.At(0, 0) = -1.0f;
-  in.At(0, 1) = 3.0f;
-  r.Forward(in);
-  Tensor g(1, 2);
-  g.Fill(1.0f);
-  Tensor gi = r.Backward(g);
-  EXPECT_FLOAT_EQ(gi.At(0, 0), 0.0f);
-  EXPECT_FLOAT_EQ(gi.At(0, 1), 1.0f);
-}
-
-TEST(MaskedDenseTest, MaskedWeightsAreZero) {
-  Rng rng(3);
-  Tensor mask(2, 2);
-  mask.At(0, 0) = 1.0f;  // only (0,0) connected
-  MaskedDense md(2, 2, mask, rng);
-  // Masked entries must be exactly zero after construction.
-  EXPECT_EQ(md.Parameters()[0]->value.At(0, 1), 0.0f);
-  EXPECT_EQ(md.Parameters()[0]->value.At(1, 0), 0.0f);
-  EXPECT_EQ(md.Parameters()[0]->value.At(1, 1), 0.0f);
-}
-
-TEST(MaskedDenseTest, MaskedGradientsAreZero) {
-  Rng rng(4);
-  Tensor mask(3, 2);
-  mask.At(0, 0) = 1.0f;
-  mask.At(2, 1) = 1.0f;
-  MaskedDense md(3, 2, mask, rng);
-  Tensor in = Tensor::Randn(4, 3, 1.0f, rng);
-  md.Forward(in);
-  Tensor g = Tensor::Randn(4, 2, 1.0f, rng);
-  md.Backward(g);
-  const Tensor& wg = md.Parameters()[0]->grad;
-  EXPECT_EQ(wg.At(0, 1), 0.0f);
-  EXPECT_EQ(wg.At(1, 0), 0.0f);
-  EXPECT_EQ(wg.At(1, 1), 0.0f);
-  EXPECT_EQ(wg.At(2, 0), 0.0f);
-  EXPECT_NE(wg.At(0, 0), 0.0f);
-}
-
-TEST(MaskedDenseTest, GradientsMatchFiniteDifferences) {
-  Rng rng(5);
-  Tensor mask(3, 3);
-  for (size_t i = 0; i < 3; ++i) {
-    for (size_t j = 0; j <= i; ++j) mask.At(i, j) = 1.0f;
-  }
-  MaskedDense md(3, 3, mask, rng);
-  Tensor in = Tensor::Randn(4, 3, 1.0f, rng);
-  CheckInputGradients(md, in, 4, 3);
-
-  // Parameter FD check, skipping masked weight entries: the analytic
-  // gradient is the mask-projected gradient, which intentionally
-  // disagrees with FD along forbidden directions.
-  Rng wrng(99);
-  Tensor weights = Tensor::Randn(4, 3, 1.0f, wrng);
-  for (Parameter* p : md.Parameters()) p->grad.Fill(0.0f);
-  md.Forward(in);
-  md.Backward(weights);
-  const float eps = 1e-2f;
-  Parameter* w = md.Parameters()[0];
-  for (size_t i = 0; i < w->value.size(); ++i) {
-    if (md.mask().data()[i] == 0.0f) continue;
-    const float orig = w->value.data()[i];
-    w->value.data()[i] = orig + eps;
-    double up = Objective(md, in, weights);
-    w->value.data()[i] = orig - eps;
-    double down = Objective(md, in, weights);
-    w->value.data()[i] = orig;
-    const double numeric = (up - down) / (2.0 * eps);
-    EXPECT_NEAR(w->grad.data()[i], numeric,
-                2e-2 * std::max(1.0, std::fabs(numeric)));
-  }
-}
-
-TEST(SequentialTest, ComposesLayers) {
-  Rng rng(6);
-  Sequential seq;
-  seq.Append(std::make_unique<Dense>(2, 4, rng));
-  seq.Append(std::make_unique<Relu>());
-  seq.Append(std::make_unique<Dense>(4, 1, rng));
-  EXPECT_EQ(seq.num_layers(), 3u);
-  EXPECT_EQ(seq.Parameters().size(), 4u);
-  Tensor in = Tensor::Randn(3, 2, 1.0f, rng);
-  Tensor out = seq.Forward(in);
-  EXPECT_EQ(out.rows(), 3u);
-  EXPECT_EQ(out.cols(), 1u);
-}
-
-TEST(SequentialTest, GradientsMatchFiniteDifferences) {
-  Rng rng(7);
-  Sequential seq;
-  seq.Append(std::make_unique<Dense>(3, 5, rng));
-  seq.Append(std::make_unique<Relu>());
-  seq.Append(std::make_unique<Dense>(5, 2, rng));
-  Tensor in = Tensor::Randn(4, 3, 1.0f, rng);
-  CheckParameterGradients(seq, in, 4, 2, 5e-2f);
-  CheckInputGradients(seq, in, 4, 2, 5e-2f);
-}
-
 TEST(MlpTest, ShapeAndGradientDescentDirection) {
   // Deep ReLU stacks make finite differences unreliable near kinks, so
   // instead of FD we check the defining property of the gradient: a
@@ -239,6 +126,16 @@ TEST(MlpTest, ShapeAndGradientDescentDirection) {
   }
   double after = Objective(mlp, in, weights);
   EXPECT_LT(after, before);
+}
+
+TEST(MlpTest, GradientsMatchFiniteDifferences) {
+  // One hidden ReLU layer: its forward clamp and its backward mask are
+  // on the path of every parameter and input gradient.
+  Rng rng(7);
+  Mlp mlp({3, 5, 2}, rng);
+  Tensor in = Tensor::Randn(4, 3, 1.0f, rng);
+  CheckParameterGradients(mlp, in, 4, 2, 5e-2f);
+  CheckInputGradients(mlp, in, 4, 2, 5e-2f);
 }
 
 // Tensor allocations of the second of two identical calls of `step`,
@@ -320,39 +217,12 @@ TEST(BackwardParamsTest, DenseMatchesFullBackward) {
       9);
 }
 
-TEST(BackwardParamsTest, MaskedDenseMatchesFullBackward) {
-  ExpectParamsOnlyBackwardMatches(
-      [](Rng& rng) {
-        Tensor mask(13, 9);
-        for (size_t i = 0; i < mask.size(); ++i) {
-          mask.data()[i] = i % 3 == 0 ? 0.0f : 1.0f;
-        }
-        return std::make_unique<MaskedDense>(13, 9, std::move(mask), rng);
-      },
-      10, 13, 9);
-}
-
 TEST(BackwardParamsTest, MlpMatchesFullBackward) {
   ExpectParamsOnlyBackwardMatches(
       [](Rng& rng) {
         return std::make_unique<Mlp>(std::vector<size_t>{13, 17, 9, 3}, rng);
       },
       10, 13, 3);
-}
-
-TEST(BackwardParamsTest, SequentialMatchesFullBackward) {
-  ExpectParamsOnlyBackwardMatches(
-      [](Rng& rng) {
-        auto seq = std::make_unique<Sequential>();
-        Tensor mask(13, 17);
-        mask.Fill(1.0f);
-        seq->Append(
-            std::make_unique<MaskedDense>(13, 17, std::move(mask), rng));
-        seq->Append(std::make_unique<Relu>());
-        seq->Append(std::make_unique<Dense>(17, 5, rng));
-        return seq;
-      },
-      10, 13, 5);
 }
 
 }  // namespace

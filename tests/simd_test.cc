@@ -362,11 +362,11 @@ TEST(SimdKernelTest, ApplyActivatedMatchesApplyThenRelu) {
   Rng rng(5678);
   Dense dense(8, 13, rng);
   Tensor in = RandomTensor(10, 8, 0.2, rng);
-  Relu relu_layer;
   for (bool simd : {false, true}) {
     SetSimdEnabled(simd);
     Tensor fused = dense.ApplyActivated(in, /*relu=*/true);
-    Tensor staged = relu_layer.Apply(dense.Apply(in));
+    Tensor staged = dense.Apply(in);
+    for (float& v : staged.data()) v = v < 0.0f ? 0.0f : v;
     ExpectBitIdentical(staged, fused, "fusion identity");
   }
 }
@@ -389,17 +389,19 @@ TEST(SimdKernelTest, MlpApplyFusedMatchesScalarApply) {
 
 TEST(SimdKernelTest, ApplyColsBitIdenticalToApplyOnOneHotAndRandomRows) {
   // The column-slice forward (Naru's per-block output softmax input): the
-  // tiled kernel over a column range, on either lane set, against the
-  // matching columns of the scalar Apply.
+  // hidden layers, then the tiled kernel over a column range, on either
+  // lane set, against the matching columns of the scalar Apply — with no
+  // hidden layer (Dense::ApplyCols alone), one and two.
   SimdRestorer restore;
   Rng rng(6789);
   const size_t w = SimdLaneWidth();
   const size_t in_dim = 24;
   const size_t out_dim = 3 * w + 1;  // forces a j-tail in every sweep
-  // All-ones mask so every weight row takes part.
-  Tensor ones(in_dim, out_dim);
-  ones.Fill(1.0f);
-  MaskedDense dense_layer(in_dim, out_dim, ones, rng);
+  // Hidden widths that leave lane tails.
+  const std::vector<std::vector<size_t>> dims = {
+      {in_dim, out_dim}, {in_dim, 19, out_dim}, {in_dim, 19, 11, out_dim}};
+  std::vector<Mlp> nets;
+  for (const std::vector<size_t>& d : dims) nets.emplace_back(d, rng);
 
   // Block one-hot rows as the sampler builds them: ascending set bits,
   // 0..3 per row (an all-zero row included); then random rows.
@@ -423,25 +425,28 @@ TEST(SimdKernelTest, ApplyColsBitIdenticalToApplyOnOneHotAndRandomRows) {
   const std::pair<size_t, size_t> ranges[] = {
       {1, out_dim - 2}, {2, 3 + w / 2}, {w - 1, 2 * w + 1}, {0, out_dim},
       {3, 3}};
-  for (size_t i = 0; i < inputs.size(); ++i) {
-    const Tensor& dense_in = inputs[i];
-    const size_t n = dense_in.rows();
-    SetSimdEnabled(false);
-    const Tensor full = dense_layer.Apply(dense_in);
-    for (const auto& [c0, c1] : ranges) {
-      SCOPED_TRACE(::testing::Message()
-                   << (i == 0 ? "one-hot" : "random") << " rows " << n
-                   << " cols [" << c0 << ", " << c1 << ")");
-      Tensor want(n, c1 - c0);
-      for (size_t r = 0; r < n; ++r) {
-        for (size_t c = c0; c < c1; ++c) want.At(r, c - c0) = full.At(r, c);
-      }
-      for (bool simd : {false, true}) {
-        SetSimdEnabled(simd);
-        ExpectBitIdentical(want, dense_layer.ApplyCols(dense_in, c0, c1),
-                           simd ? "ApplyCols simd" : "ApplyCols scalar");
-      }
+  for (size_t h = 0; h < nets.size(); ++h) {
+    for (size_t i = 0; i < inputs.size(); ++i) {
+      const Tensor& dense_in = inputs[i];
+      const size_t n = dense_in.rows();
       SetSimdEnabled(false);
+      const Tensor full = nets[h].Apply(dense_in);
+      for (const auto& [c0, c1] : ranges) {
+        SCOPED_TRACE(::testing::Message()
+                     << h << " hidden layers, "
+                     << (i == 0 ? "one-hot" : "random") << " rows " << n
+                     << " cols [" << c0 << ", " << c1 << ")");
+        Tensor want(n, c1 - c0);
+        for (size_t r = 0; r < n; ++r) {
+          for (size_t c = c0; c < c1; ++c) want.At(r, c - c0) = full.At(r, c);
+        }
+        for (bool simd : {false, true}) {
+          SetSimdEnabled(simd);
+          ExpectBitIdentical(want, nets[h].ApplyCols(dense_in, c0, c1),
+                             simd ? "ApplyCols simd" : "ApplyCols scalar");
+        }
+        SetSimdEnabled(false);
+      }
     }
   }
 }

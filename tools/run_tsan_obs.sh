@@ -19,9 +19,11 @@
 # determinism_test: the PI runners shared by the single-table and join
 # harnesses, with concurrent fold and CQR-head training and the
 # estimate cache), and kernel-smoke (simd_test, tensor_test,
-# layers_test, optimizer_nn_test, mscn_model_test: the register-tiled
-# GEMMs with their tile tails and kept-term scans over operands read in
-# place, the vector Adam step and the parameter-only backward). A clean exit means the
+# layers_test, optimizer_nn_test, mscn_model_test, made_test,
+# inference_batch_test: the register-tiled GEMMs with their tile tails
+# and kept-term scans over operands read in place, the vector Adam step,
+# the parameter-only backward, Naru's masked MADE training step and the
+# trained-model goldens). A clean exit means the
 # sanitizer saw no races (tsan), memory errors (asan) or undefined
 # behaviour (ubsan) in the hot-path
 # record/merge/sample/serve/guard/harness/kernel code.
