@@ -4,8 +4,11 @@
 // updates, and the exchangeability martingale. The paper's claims: S-CP
 // and JK-CV+ inference is one add/subtract; LW-S-CP pays one lightweight
 // model evaluation (< 0.1 ms); CQR pays two extra model forwards
-// (benchmarked through the MSCN forward pass).
+// (benchmarked through the MSCN forward pass). Also the exact-count scan
+// that labels every workload the PI methods consume.
 #include <benchmark/benchmark.h>
+
+#include <map>
 
 #include "bench_common.h"
 #include "ce/mscn.h"
@@ -18,6 +21,7 @@
 #include "conformal/online.h"
 #include "conformal/split.h"
 #include "data/datasets.h"
+#include "exec/scan.h"
 #include "query/workload.h"
 
 namespace confcard {
@@ -196,6 +200,42 @@ void BM_MscnForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MscnForward);
+
+struct ScanInputs {
+  Table table;
+  std::vector<Query> queries;
+};
+
+// perfbench serve_open's label queries (1,500/1,500/800 at seeds 1/2/3,
+// selectivity at most 0.2) over the DMV-like table of `rows` rows, built
+// once per row count.
+const ScanInputs& LabelQueries(size_t rows) {
+  static std::map<size_t, ScanInputs> cache;
+  auto it = cache.find(rows);
+  if (it != cache.end()) return it->second;
+  ScanInputs in{MakeDmv(rows, 7).value(), {}};
+  for (uint64_t seed : {1, 2, 3}) {
+    WorkloadConfig wc;
+    wc.num_queries = seed == 3 ? 800 : 1500;
+    wc.max_selectivity = 0.2;
+    wc.seed = seed;
+    const Workload labeled = GenerateWorkload(in.table, wc).value();
+    for (const LabeledQuery& lq : labeled) in.queries.push_back(lq.query);
+  }
+  return cache.emplace(rows, std::move(in)).first->second;
+}
+
+// The exact-count scan that labels the calibration, fold and training
+// sets: one label query per iteration, cycling. Arg = table rows.
+void BM_CountMatches(benchmark::State& state) {
+  const ScanInputs& in = LabelQueries(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CountMatches(in.table, in.queries[i]));
+    if (++i == in.queries.size()) i = 0;
+  }
+}
+BENCHMARK(BM_CountMatches)->Arg(5000)->Arg(40000);
 
 // Dispatch cost of an empty-ish ParallelFor: what a hot loop pays for
 // going through the pool instead of a plain for. Arg = iteration count.

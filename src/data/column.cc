@@ -1,10 +1,26 @@
 #include "data/column.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
 namespace confcard {
+namespace {
+
+// The non-NaN cells of `data` in ascending order. A NaN matches no
+// predicate, and it would break the strict weak ordering std::sort needs.
+std::vector<double> SortedValues(const std::vector<double>& data) {
+  std::vector<double> sorted;
+  sorted.reserve(data.size());
+  for (double v : data) {
+    if (!std::isnan(v)) sorted.push_back(v);
+  }
+  std::sort(sorted.begin(), sorted.end());
+  return sorted;
+}
+
+}  // namespace
 
 const char* ColumnKindToString(ColumnKind kind) {
   switch (kind) {
@@ -43,13 +59,12 @@ Column::Column(std::string name, ColumnKind kind, int64_t domain_size,
 }
 
 void Column::ComputeStats() {
-  if (data_.empty()) {
+  const std::vector<double> sorted = SortedValues(data_);
+  if (sorted.empty()) {
     min_ = max_ = 0.0;
     distinct_ = 0;
     return;
   }
-  std::vector<double> sorted = data_;
-  std::sort(sorted.begin(), sorted.end());
   min_ = sorted.front();
   max_ = sorted.back();
   distinct_ = 1;
@@ -59,8 +74,7 @@ void Column::ComputeStats() {
 }
 
 std::vector<double> Column::DistinctValues() const {
-  std::vector<double> sorted = data_;
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> sorted = SortedValues(data_);
   sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
   return sorted;
 }

@@ -41,7 +41,8 @@ class Column {
   /// Domain size for categorical columns; 0 for numeric.
   int64_t domain_size() const { return domain_size_; }
 
-  /// Minimum / maximum cell value (0 for empty columns).
+  /// Minimum / maximum cell value (0 for empty columns). NaN cells are
+  /// left out of these statistics and of DistinctValues.
   double min_value() const { return min_; }
   double max_value() const { return max_; }
   /// Number of distinct values.

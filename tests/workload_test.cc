@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/datasets.h"
 #include "data/generators.h"
 #include "exec/scan.h"
 
@@ -174,6 +175,62 @@ TEST(WorkloadTest, DeterministicBySeed) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].query, b[i].query);
   }
+}
+
+// FNV-1a over each query's (column, op, lo bits, hi bits) and its
+// cardinality, in workload order.
+uint64_t WorkloadHash(const Workload& wl) {
+  uint64_t h = 14695981039346656037ULL;
+  auto mix = [&h](const void* data, size_t n) {
+    const unsigned char* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const LabeledQuery& lq : wl) {
+    for (const Predicate& p : lq.query.predicates) {
+      const int32_t column = p.column;
+      const uint8_t op = static_cast<uint8_t>(p.op);
+      mix(&column, sizeof(column));
+      mix(&op, sizeof(op));
+      mix(&p.lo, sizeof(p.lo));
+      mix(&p.hi, sizeof(p.hi));
+    }
+    mix(&lq.cardinality, sizeof(lq.cardinality));
+  }
+  return h;
+}
+
+Workload Split(const Table& table, size_t n, uint64_t seed) {
+  WorkloadConfig cfg;
+  cfg.num_queries = n;
+  cfg.max_selectivity = 0.2;
+  cfg.seed = seed;
+  return GenerateWorkload(table, cfg).value();
+}
+
+// The labeled splits of perfbench's two workloads, recorded before the
+// 64-row word scan and the stream-free dedup key: every query, literal
+// and label keeps its bits.
+TEST(WorkloadTest, PiOfflineSplitsMatchGolden) {
+  const Table table = MakeDmv(5000, 7).value();
+  const Workload train = Split(table, 100, 1);
+  const Workload calib = Split(table, 100, 2);
+  const Workload test = Split(table, 300, 3);
+  ASSERT_EQ(train.size(), 100u);
+  ASSERT_EQ(calib.size(), 100u);
+  ASSERT_EQ(test.size(), 300u);
+  EXPECT_EQ(WorkloadHash(train), 0xbe39146ddc568ca6ULL);
+  EXPECT_EQ(WorkloadHash(calib), 0xba9e19e9833a7fe6ULL);
+  EXPECT_EQ(WorkloadHash(test), 0x0443ec197a6c424aULL);
+}
+
+TEST(WorkloadTest, ServeOpenTestSplitMatchesGolden) {
+  const Table table = MakeDmv(40000, 7).value();
+  const Workload test = Split(table, 800, 3);
+  ASSERT_EQ(test.size(), 800u);
+  EXPECT_EQ(WorkloadHash(test), 0xdccb84444deae2a5ULL);
 }
 
 TEST(WorkloadValidationTest, RejectsBadConfigs) {

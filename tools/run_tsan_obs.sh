@@ -20,10 +20,13 @@
 # harnesses, with concurrent fold and CQR-head training and the
 # estimate cache), and kernel-smoke (simd_test, tensor_test,
 # layers_test, optimizer_nn_test, mscn_model_test, made_test,
-# inference_batch_test: the register-tiled GEMMs with their tile tails
-# and kept-term scans over operands read in place, the vector Adam step,
-# the parameter-only backward, Naru's masked MADE training step and the
-# trained-model goldens). A clean exit means the
+# inference_batch_test, scan_test, workload_test, predicate_test: the
+# register-tiled GEMMs with their tile tails and kept-term scans over
+# operands read in place, the vector Adam step, the parameter-only
+# backward, Naru's masked MADE training step, the trained-model goldens,
+# the exact-count scan's 64-row match words with the partial last word
+# and its shifts, the workload goldens it labels and the dedup key's
+# number rendering). A clean exit means the
 # sanitizer saw no races (tsan), memory errors (asan) or undefined
 # behaviour (ubsan) in the hot-path
 # record/merge/sample/serve/guard/harness/kernel code.
